@@ -4,7 +4,8 @@ checks, range verification and a self-test.
 
 Reports are JSON lines with fixed key order and decimal-string numerics,
 so identical invocations produce byte-identical output.  Exit codes:
-0 = pass, 1 = mismatch or failed check, 2 = usage error.
+0 = pass, 1 = mismatch or failed check, 2 = usage error, 3 = numerical
+failure (a quadrature that exhausted its subdivision budget).
 
 Configuration precedence: command-line flags, then the environment
 (CIRCLEFORGE_PREC, CIRCLEFORGE_CACHE), then built-in defaults.
@@ -25,7 +26,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from . import qseries
-from .hpnum import default_precision
+from .hpnum import QuadratureError, default_precision
 from .integrals import J, Jstar, L_closed, L_contour, mordell_I, script_I
 from .kloosterman import (
     A_k,
@@ -266,7 +267,8 @@ def cmd_check_transform(args, cfg):
 
 def cmd_verify(args, cfg):
     tol = mpf(cfg.default_tol)
-    report = verify_range(args.start, args.end, kmax=cfg.kmax, tol=tol)
+    report = verify_range(args.start, args.end, kmax=cfg.kmax, tol=tol,
+                          prec=cfg.precision_bits)
     for row in report["rows"]:
         _emit(row)
     _emit({
@@ -412,6 +414,9 @@ def main(argv=None):
         return args.func(args, cfg)
     except SystemExit:
         raise
+    except QuadratureError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,10 @@ explicitly (bits) and never depends on the global mpmath state it was
 called under.  Quadrature is adaptive bisection with an embedded pair of
 Gauss-Legendre rules; panels are accepted when the rule difference is
 within the local error budget, so the reported error estimate bounds the
-discretization error of the accepted value.
+discretization error of the accepted value.  An integrand may return a
+list of values instead of a scalar: the components then share the nodes
+and the panel tree, and a panel is accepted only when every component
+meets its budget.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadratureResult:
-    value: object  # mpf or mpc
-    abs_error_estimate: object  # mpf
+    value: object  # mpf or mpc; a list of them for a list-valued integrand
+    abs_error_estimate: object  # mpf; a list for a list-valued integrand
     subdivisions: int
 
 
@@ -166,13 +169,19 @@ def _gauss_legendre_nodes(npts, prec):
 
 
 def _panel(f, a, b, npts, prec):
+    """Gauss-Legendre sums on [a, b], one per component of the list-valued f."""
     nodes = _gauss_legendre_nodes(npts, prec)
     mid = (a + b) / 2
     rad = (b - a) / 2
-    total = 0
+    sums = None
     for x, w in nodes:
-        total += w * f(mid + rad * x)
-    return total * rad
+        values = f(mid + rad * x)
+        if sums is None:
+            sums = [w * v for v in values]
+        else:
+            for i, v in enumerate(values):
+                sums[i] += w * v
+    return [s * rad for s in sums]
 
 
 def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
@@ -181,38 +190,60 @@ def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
     Each panel is evaluated with n and 2n point Gauss-Legendre rules; their
     difference is the local error estimate.  A panel within its share of
     `tol` is accepted, otherwise bisected.
+
+    f may return a list instead of a scalar.  Then every component is
+    integrated on the same nodes and panels, `tol` is the budget of each
+    component, a panel is accepted only when all components are within
+    their share, and the result's value and error estimate are lists.
     """
     if prec is None:
         prec = mpmath.mp.prec
     tol = mpf(tol)
     n_lo = max(12, prec // 5)
+    is_list = None
+
+    def components(x):
+        nonlocal is_list
+        values = f(x)
+        if is_list is None:
+            is_list = isinstance(values, list)
+        return values if is_list else [values]
+
+    def result(value, error):
+        return (value, error) if is_list else (value[0], error[0])
+
     with workprec(prec + 24):
         a, b = mpc(a), mpc(b)
         if a.imag == 0 and b.imag == 0:
             a, b = a.real, b.real
         stack = [(a, b, tol)]
-        total = 0
-        err = mpf(0)
+        total = None
+        err = None
         panels = 0
         while stack:
             x0, x1, budget = stack.pop()
             panels += 1
-            coarse = _panel(f, x0, x1, n_lo, prec)
-            fine = _panel(f, x0, x1, 2 * n_lo, prec)
-            delta = abs(fine - coarse)
+            coarse = _panel(components, x0, x1, n_lo, prec)
+            fine = _panel(components, x0, x1, 2 * n_lo, prec)
+            delta = [abs(hi - lo) for hi, lo in zip(fine, coarse)]
+            if total is None:
+                total = [0] * len(fine)
+                err = [mpf(0)] * len(fine)
             if panels > max_panels:
                 raise QuadratureError(
-                    "subdivision budget exhausted", total, err + delta, panels
+                    "subdivision budget exhausted",
+                    *result(total, [e + d for e, d in zip(err, delta)]),
+                    panels,
                 )
-            if delta <= budget or abs(x1 - x0) < mpf(2) ** (-(prec // 2)):
-                total += fine
-                err += delta
+            if all(d <= budget for d in delta) or abs(x1 - x0) < mpf(2) ** (-(prec // 2)):
+                total = [t + v for t, v in zip(total, fine)]
+                err = [e + d for e, d in zip(err, delta)]
             else:
                 xm = (x0 + x1) / 2
                 stack.append((x0, xm, budget / 2))
                 stack.append((xm, x1, budget / 2))
     with workprec(prec):
-        return QuadratureResult(+total, +err, panels)
+        return QuadratureResult(*result([+t for t in total], [+e for e in err]), panels)
 
 
 def quad_decay(f, c, tol, prec=None, envelope_max=1, max_panels=4096):

@@ -27,6 +27,7 @@ __all__ = [
     "J_gap",
     "lemma35_gap",
     "script_I",
+    "script_I_band",
     "L_closed",
     "L_contour",
 ]
@@ -75,7 +76,7 @@ def cosh_path_floor(k, nu, z, prec):
         for j in range(-8, 9):
             xj = (beta0 - mpmath.pi / 2 - j * mpmath.pi) * k / (mpmath.pi * v)
             a = -mpmath.pi * u * xj / k
-            floor = min(floor, abs(mpmath.sinh(a))) if True else floor
+            floor = min(floor, abs(mpmath.sinh(a)))
         return floor
 
 
@@ -244,6 +245,55 @@ def script_I(b, k, nu, n, tol, prec=None):
         val = res.value.real if isinstance(res.value, mpc) else res.value
     with workprec(prec):
         return +val
+
+
+def script_I_band(b, k, nus, n, tol, prec=None):
+    """script_I(b, k, nu, n, tol, prec) for every nu in nus, in one quadrature.
+
+    The Bessel factor B(x) = sqrt(1-x^2) I_1(...) does not depend on nu and
+    is even in x, so it is computed once per |x| and shared by all nu on
+    the same nodes and panels.  With zeta = e^(i*beta_nu) and e = e^(alpha x),
+    1/cosh(i*beta_nu - alpha x) = 2/(zeta/e + conj(zeta) e), so no (nu, node)
+    pair needs a transcendental function.  tol is the budget of each nu, and
+    each nu's imaginary residue is checked against it as in script_I.
+    """
+    if prec is None:
+        prec = mpmath.mp.prec
+    b = Fraction(b)
+    if b <= 0 or n < 1:
+        raise ValueError("script_I needs b > 0 and n >= 1")
+    for nu in nus:
+        MordellParams(k, nu).validate()
+    if not nus:
+        return []
+    with workprec(prec + 16):
+        pi = mpmath.pi
+        sq = _sqrt_fraction(b / 3, prec)
+        alpha = pi * sq / k
+        zetas = [mpmath.expjpi(mpf(6 * nu - 1) / (6 * k)) for nu in nus]
+        amp = 2 * pi / k
+        two_b_n = mpf(2 * b.numerator * n) / b.denominator
+        bessel = {}
+
+        def integrand(x):
+            s = 1 - x * x
+            if s <= 0:
+                return [mpc(0)] * len(zetas)
+            ax = abs(x)
+            weight = bessel.get(ax)
+            if weight is None:
+                weight = 2 * mpmath.sqrt(s) * bessel_i1(amp * mpmath.sqrt(two_b_n * s), prec + 16)
+                bessel[ax] = weight
+            e = mpmath.exp(alpha * x)
+            e_inv = 1 / e
+            return [weight / (z * e_inv + z.conjugate() * e) for z in zetas]
+
+        res = quad_finite(integrand, -1, 1, mpf(tol), prec=prec + 16)
+        if any(abs(v.imag) > tol for v in res.value):
+            raise ArithmeticError("symmetry violation: imaginary residue above tol")
+        vals = [v.real for v in res.value]
+    with workprec(prec):
+        return [+v for v in vals]
 
 
 def L_closed(k, n, y, prec):

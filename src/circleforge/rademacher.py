@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .hpnum import bessel_i32, default_precision
-from .integrals import script_I
+from .integrals import script_I, script_I_band
 from .kloosterman import A_k, KloostermanSpec, modified_K
 from .qseries import named_series
 
@@ -124,15 +124,16 @@ def p1bar_term(d, k, n, tol, prec=None):
         prec = default_precision(n)
     b = _band_b(d)
     with workprec(prec):
-        total = mpmath.mpc(0)
+        weights = {}
         for nu in range(1, k + 1):
             ksum = modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu))
             kval = ksum.value(prec)
-            if kval == 0:
-                continue
-            integral = script_I(b, k, nu, n, mpf(tol) / (4 * k), prec=prec)
-            sign = -1 if (n + nu) % 2 else 1
-            total += sign * kval * integral
+            if kval != 0:
+                weights[nu] = -kval if (n + nu) % 2 else kval
+        integrals = script_I_band(b, k, list(weights), n, mpf(tol) / (4 * k), prec=prec)
+        total = mpmath.mpc(0)
+        for weight, integral in zip(weights.values(), integrals):
+            total += weight * integral
         return +(total / (k * k))
 
 

@@ -134,9 +134,25 @@ def test_usage_error_exit_code():
 
 
 def test_env_precision_override(tmp_path, capsys, monkeypatch):
+    import circleforge.rademacher as rademacher
+
     monkeypatch.setenv("CIRCLEFORGE_PREC", "96")
     code, rows = run_cli(["asymptotic", "--n", "10"], capsys)
     assert code == 0
+    precs = []
+    real_exact = rademacher.p1bar_exact
+
+    def spy(n, kmax=None, tol=None, prec=None):
+        precs.append(prec)
+        return real_exact(n, kmax=kmax, tol=tol, prec=prec)
+
+    monkeypatch.setattr(rademacher, "p1bar_exact", spy)
+    code, rows = run_cli(["verify", "--from", "1", "--to", "3", "--kmax", "6"], capsys)
+    assert code == 0 and rows[-1]["ok"] is True
+    assert precs == [96, 96, 96]
+    code, rows = run_cli(["--precision-bits", "112", "verify", "--from", "2", "--to", "2",
+                          "--kmax", "6"], capsys)
+    assert code == 0 and precs[-1] == 112
     monkeypatch.setenv("CIRCLEFORGE_PREC", "10")
     with pytest.raises(SystemExit):
         main(["asymptotic", "--n", "10"])
@@ -147,3 +163,18 @@ def test_mismatch_exit_code(capsys):
     code, rows = run_cli(["exact", "--n", "40", "--kmax", "2"], capsys)
     assert code in (0, 1)  # documents the contract: 1 whenever match is false
     assert rows[0]["match"] is (code == 0)
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    import circleforge.integrals as integrals
+    from circleforge.hpnum import QuadratureError
+
+    def exhausted(*args, **kwargs):
+        raise QuadratureError("subdivision budget exhausted", 0, 1, 4097)
+
+    monkeypatch.setattr(integrals, "quad_finite", exhausted)
+    code = main(["exact", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure: subdivision budget exhausted" in captured.err

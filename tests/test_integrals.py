@@ -20,6 +20,7 @@ from circleforge.integrals import (
     lemma35_gap,
     mordell_I,
     script_I,
+    script_I_band,
 )
 
 # frozen from mpmath.quad (tanh-sinh, 40 digits)
@@ -143,6 +144,40 @@ def test_script_I_validation():
         script_I(Fraction(-1, 12), 1, 1, 4, mpf("1e-10"))
     with pytest.raises(ValueError):
         script_I(Fraction(5, 12), 1, 1, 0, mpf("1e-10"))
+
+
+def test_script_I_band_matches_per_nu():
+    # (5/12, 2, 55) and (5/12, 6, 10) bisect; (1/24, 5, 10) takes one panel
+    tol = mpf("1e-14")
+    for b, k, n in ((Fraction(1, 24), 5, 10), (Fraction(5, 12), 6, 10), (Fraction(5, 12), 2, 55)):
+        nus = list(range(1, k + 1))
+        band = script_I_band(b, k, nus, n, tol, prec=110)
+        assert len(band) == k
+        for nu, v in zip(nus, band):
+            assert abs(v - script_I(b, k, nu, n, tol, prec=110)) < tol, (b, k, n, nu)
+    assert script_I_band(Fraction(5, 12), 2, [], 4, tol, prec=96) == []
+
+
+def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
+    import circleforge.integrals as integrals
+
+    real_quad = integrals.quad_finite
+
+    def skewed(*args, **kwargs):
+        res = real_quad(*args, **kwargs)
+        res.value[-1] += mpc(0, "1e-6")
+        return res
+
+    monkeypatch.setattr(integrals, "quad_finite", skewed)
+    with pytest.raises(ArithmeticError):
+        script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, mpf("1e-12"), prec=96)
+
+
+def test_script_I_band_validation():
+    with pytest.raises(ValueError):
+        script_I_band(Fraction(-1, 12), 1, [1], 4, mpf("1e-10"))
+    with pytest.raises(ValueError):
+        script_I_band(Fraction(5, 12), 1, [1], 0, mpf("1e-10"))
 
 
 def test_L_closed_trivials():

@@ -8,6 +8,9 @@ import pytest
 mpmath.mp.prec = 256
 from mpmath import mpf, workprec
 
+from circleforge.hpnum import default_precision
+from circleforge.integrals import script_I
+from circleforge.kloosterman import KloostermanSpec, modified_K
 from circleforge.qseries import named_series
 from circleforge.rademacher import (
     default_kmax,
@@ -60,8 +63,6 @@ def test_p1bar_exact_validation():
 
 def test_p1bar_term_k1_single_unit_term():
     # at k=1 the Kloosterman factor is 1, so the band is one bare integral
-    from circleforge.integrals import script_I
-
     n = 6
     band = p1bar_term(1, 1, n, mpf("1e-12"), prec=128)
     with workprec(128):
@@ -134,3 +135,61 @@ def test_per_k_terms_sum_to_value():
     with workprec(200):
         total = sum(t for _, t in res.per_k_terms)
         assert abs(total.real - res.value) < mpf("1e-20")
+
+
+def _p1bar_per_nu_reference(n, tol=mpf("1e-12")):
+    """p1bar_exact's sum at default kmax and precision, one script_I per (k, nu)."""
+    prec = default_precision(n)
+    with workprec(prec):
+        front = mpmath.pi / (12 * mpmath.sqrt(mpf(6 * n)))
+        total = mpf(0)
+        for k in range(1, default_kmax(n) + 1):
+            d = math.gcd(4, k)
+            if d == 4:
+                continue
+            b = Fraction(1, 24) if d == 1 else Fraction(5, 12)
+            band = mpmath.mpc(0)
+            for nu in range(1, k + 1):
+                kval = modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu)).value(prec)
+                if kval != 0:
+                    sign = -1 if (n + nu) % 2 else 1
+                    band += sign * kval * script_I(b, k, nu, n, tol / (4 * k), prec=prec)
+            total += (front if d == 1 else 5 * front) * band.real / (k * k)
+        return total
+
+
+@pytest.mark.parametrize("n", [55, 105, 400])
+def test_band_quadrature_matches_per_nu_reference(n):
+    res = p1bar_exact(n)
+    reference = _p1bar_per_nu_reference(n)
+    assert abs(res.value - reference) < mpf("1e-20") * res.value
+    assert res.rounded == named_series("G1", n).coefficient(n)
+
+
+def test_p1bar_exact_ignores_global_precision():
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 53
+        low = p1bar_exact(105)
+        mpmath.mp.prec = 320
+        high = p1bar_exact(105)
+    finally:
+        mpmath.mp.prec = saved
+    assert low.value == high.value
+    assert low.rounded == high.rounded
+
+
+def test_bessel_call_count_pin(monkeypatch):
+    # deterministic work count: a later change may lower this pin, never raise it
+    import circleforge.integrals as integrals
+
+    calls = []
+    real_i1 = integrals.bessel_i1
+
+    def counted(x, prec):
+        calls.append(x)
+        return real_i1(x, prec)
+
+    monkeypatch.setattr(integrals, "bessel_i1", counted)
+    assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
+    assert len(calls) == 924
