@@ -5,7 +5,8 @@ checks, range verification and a self-test.
 Reports are JSON lines with fixed key order and decimal-string numerics,
 so identical invocations produce byte-identical output.  Exit codes:
 0 = pass, 1 = mismatch or failed check, 2 = usage error, 3 = numerical
-failure (a quadrature that exhausted its subdivision budget).
+failure (a quadrature that exhausted its subdivision budget, or an
+imaginary residue above tolerance where the exact value is real).
 
 Configuration precedence: command-line flags, then the environment
 (CIRCLEFORGE_PREC, CIRCLEFORGE_CACHE), then built-in defaults.
@@ -14,6 +15,7 @@ Configuration precedence: command-line flags, then the environment
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
@@ -61,7 +63,7 @@ class Config:
             raise SystemExit2("precision_bits must be >= 64")
         cache = getattr(args, "cache", None) or os.environ.get("CIRCLEFORGE_CACHE")
         tol = getattr(args, "tol", None) or "1e-12"
-        if mpf(tol) <= 0:
+        if _parse_real(tol) <= 0:
             raise SystemExit2("tolerance must be positive")
         return cls(
             precision_bits=prec,
@@ -86,6 +88,24 @@ def _nstr(x, digits=20):
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
+def _usage_zero_division(parse):
+    # a zero denominator in an argument is a usage error (exit 2), not a
+    # numerical failure (exit 3)
+    def parse_or_reject(text):
+        try:
+            return parse(text)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in argument {text!r}") from None
+
+    return parse_or_reject
+
+
+@_usage_zero_division
+def _parse_real(text):
+    return mpf(text)
+
+
+@_usage_zero_division
 def _parse_complex(text):
     if "," in text:
         re_s, im_s = text.split(",", 1)
@@ -93,6 +113,7 @@ def _parse_complex(text):
     return mpmath.mpc(mpf(text))
 
 
+@_usage_zero_division
 def _parse_fraction(text):
     if "/" in text:
         num, den = text.split("/", 1)
@@ -102,6 +123,7 @@ def _parse_fraction(text):
 
 # ---------------------------------------------------------------------------
 # coefficient cache: append-only JSON lines, whole-file replace on write
+# under an exclusive lock on a sidecar file, so concurrent runs keep every row
 
 def _cache_load(path):
     rows = []
@@ -116,14 +138,16 @@ def _cache_load(path):
 def _cache_append(path, new_rows):
     if not path or not new_rows:
         return
-    rows = _cache_load(path)
-    seen = {(r["series"], r["n"]) for r in rows}
-    rows.extend(r for r in new_rows if (r["series"], r["n"]) not in seen)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        for r in rows:
-            fh.write(json.dumps(r, separators=(", ", ": ")) + "\n")
-    os.replace(tmp, path)
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        rows = _cache_load(path)
+        seen = {(r["series"], r["n"]) for r in rows}
+        rows.extend(r for r in new_rows if (r["series"], r["n"]) not in seen)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
+            for r in rows:
+                fh.write(json.dumps(r, separators=(", ", ": ")) + "\n")
+        os.replace(tmp, path)
 
 
 def _cache_rows_for(series, coeffs_list, order):
@@ -168,6 +192,7 @@ def cmd_exact(args, cfg):
         "dist": _nstr(res.distance_to_integer, 6),
         "kmax": res.kmax,
         "tail": _nstr(res.tail_estimate, 6),
+        "flagged": res.flagged,
     }
     _emit(row)
     _cache_append(
@@ -260,7 +285,7 @@ def cmd_check_transform(args, cfg):
     prec = cfg.precision_bits or 160
     with workprec(prec):
         chk = check_law(args.law, args.h, args.k, _parse_complex(args.z),
-                        tol=mpf(args.tol), prec=prec, r=args.r)
+                        tol=_parse_real(args.tol), prec=prec, r=args.r)
     _emit(chk.to_json_dict())
     return 0 if chk.passed else 1
 
@@ -414,10 +439,10 @@ def main(argv=None):
         return args.func(args, cfg)
     except SystemExit:
         raise
-    except QuadratureError as exc:
+    except (QuadratureError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,18 @@ error-controlled quadrature on finite intervals and Gaussian-decay lines.
 
 Scalars are mpmath mpf/mpc; every routine takes the working precision
 explicitly (bits) and never depends on the global mpmath state it was
-called under.  Quadrature is adaptive bisection with an embedded pair of
-Gauss-Legendre rules; panels are accepted when the rule difference is
-within the local error budget, so the reported error estimate bounds the
-discretization error of the accepted value.  An integrand may return a
-list of values instead of a scalar: the components then share the nodes
-and the panel tree, and a panel is accepted only when every component
-meets its budget.
+called under.  Quadrature is one adaptive driver, `quad_panels`: bisection
+with an embedded pair of Gauss-Legendre rules, where panels are accepted
+when the rule difference is within the local error budget, so the
+reported error estimate bounds the discretization error of the accepted
+value.  The driver takes the panel sums as a function.  `quad_finite`
+supplies them pointwise in mpf/mpc; an integrand may return a list of
+values instead of a scalar, and the components then share the nodes and
+the panel tree, a panel being accepted only when every component meets
+its budget.  The p1bar band integrals supply them in Python-integer fixed
+point instead, from `gauss_legendre_fixed` (the same nodes as ints) and
+`BesselFactor` (sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by
+Horner's rule); `bessel_i1` stays the mpf reference for that polynomial.
 """
 
 from __future__ import annotations
@@ -21,14 +26,19 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mpf, mpc, workprec
+from mpmath.libmp import to_fixed
 
 __all__ = [
     "default_precision",
     "bessel_i1",
     "bessel_i32",
     "bessel_i_series",
+    "BesselFactor",
+    "bessel_factor_degree",
+    "gauss_legendre_fixed",
     "QuadratureResult",
     "QuadratureError",
+    "quad_panels",
     "quad_finite",
     "quad_decay",
 ]
@@ -168,6 +178,73 @@ def _gauss_legendre_nodes(npts, prec):
         return tuple((+x, +w) for (x, w) in out)
 
 
+@lru_cache(maxsize=128)
+def gauss_legendre_fixed(npts, prec, frac_bits):
+    """_gauss_legendre_nodes(npts, prec) as ints scaled by 2^frac_bits.
+
+    Conversion truncates toward zero, so the table stays exactly symmetric.
+    """
+    return tuple(
+        (to_fixed(x._mpf_, frac_bits), to_fixed(w._mpf_, frac_bits))
+        for x, w in _gauss_legendre_nodes(npts, prec)
+    )
+
+
+def bessel_factor_degree(c, prec):
+    """Degree M of BesselFactor(c, M, ...) for relative error 2^-(prec+8).
+
+    The terms t_m = a_m of S(1) = sum a_m are summed until 2 t_M is below
+    2^-(prec+8) S(1) and the next ratio t_(M+1)/t_M is below 1/2, so the
+    tail is below t_M.  tail(s)/S(s) grows with s, so the bound holds for
+    every s in [0, 1].  Sizing needs no more than 64 bits.
+    """
+    with workprec(64):
+        h = (mpf(c) / 2) ** 2
+        term = total = mpf(1)
+        eps = mpf(2) ** (-(prec + 8))
+        m = 0
+        while True:
+            ratio = h / ((m + 1) * (m + 2))
+            if 2 * term < eps * total and 2 * ratio < 1:
+                return m
+            term *= ratio
+            total += term
+            m += 1
+
+
+class BesselFactor:
+    """sqrt(s) I_1(c sqrt(s)) for s in [0, 1], in fixed point.
+
+    sqrt(s) I_1(c sqrt(s)) = (c/2) s S(s) with S(s) = sum_{m<=M} a_m s^m and
+    a_m = (c^2/4)^m / (m! (m+1)!), so no square root is needed.  Arguments
+    and results are ints scaled by 2^frac_bits; c must be accurate to
+    frac_bits.  The a_m are rounded once; Horner's rule on positive terms
+    with s <= 1 then keeps S within 2(M+1) ulp, i.e. within 2(M+1) 2^-frac_bits
+    relative since S >= 1.  M comes from bessel_factor_degree.
+    """
+
+    def __init__(self, c, degree, frac_bits):
+        self.frac_bits = frac_bits
+        with workprec(frac_bits + 16 + degree.bit_length()):
+            c = mpf(c)
+            h = (c / 2) ** 2
+            term = mpf(1)
+            coeffs = []
+            for m in range(degree + 1):
+                coeffs.append(to_fixed(term._mpf_, frac_bits))
+                term = term * h / ((m + 1) * (m + 2))
+            self.half_c = to_fixed((c / 2)._mpf_, frac_bits)
+        self.coeffs = coeffs[::-1]
+
+    def __call__(self, s):
+        F = self.frac_bits
+        coeffs = self.coeffs
+        acc = coeffs[0]
+        for a in coeffs[1:]:
+            acc = (acc * s >> F) + a
+        return self.half_c * s * acc >> (2 * F)
+
+
 def _panel(f, a, b, npts, prec):
     """Gauss-Legendre sums on [a, b], one per component of the list-valued f."""
     nodes = _gauss_legendre_nodes(npts, prec)
@@ -184,38 +261,19 @@ def _panel(f, a, b, npts, prec):
     return [s * rad for s in sums]
 
 
-def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
+def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
     """Adaptive bisection with an embedded lower/higher-order pair.
 
-    Each panel is evaluated with n and 2n point Gauss-Legendre rules; their
-    difference is the local error estimate.  A panel within its share of
-    `tol` is accepted, otherwise bisected.
-
-    f may return a list instead of a scalar.  Then every component is
-    integrated on the same nodes and panels, `tol` is the budget of each
-    component, a panel is accepted only when all components are within
-    their share, and the result's value and error estimate are lists.
+    panel_sums(x0, x1, npts) returns the npts-point Gauss-Legendre sums on
+    [x0, x1], one per component.  Each panel is evaluated with n and 2n
+    points; their difference is the local error estimate.  A panel is
+    accepted when every component is within its share of `tol` (or the
+    panel is narrower than 2^(-prec/2)), otherwise bisected.  Returns a
+    QuadratureResult whose value and error estimate are lists; the loop
+    runs at prec + 24 bits and the results are rounded to prec.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
-    tol = mpf(tol)
     n_lo = max(12, prec // 5)
-    is_list = None
-
-    def components(x):
-        nonlocal is_list
-        values = f(x)
-        if is_list is None:
-            is_list = isinstance(values, list)
-        return values if is_list else [values]
-
-    def result(value, error):
-        return (value, error) if is_list else (value[0], error[0])
-
     with workprec(prec + 24):
-        a, b = mpc(a), mpc(b)
-        if a.imag == 0 and b.imag == 0:
-            a, b = a.real, b.real
         stack = [(a, b, tol)]
         total = None
         err = None
@@ -223,8 +281,8 @@ def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
         while stack:
             x0, x1, budget = stack.pop()
             panels += 1
-            coarse = _panel(components, x0, x1, n_lo, prec)
-            fine = _panel(components, x0, x1, 2 * n_lo, prec)
+            coarse = panel_sums(x0, x1, n_lo)
+            fine = panel_sums(x0, x1, 2 * n_lo)
             delta = [abs(hi - lo) for hi, lo in zip(fine, coarse)]
             if total is None:
                 total = [0] * len(fine)
@@ -232,7 +290,8 @@ def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
             if panels > max_panels:
                 raise QuadratureError(
                     "subdivision budget exhausted",
-                    *result(total, [e + d for e, d in zip(err, delta)]),
+                    total,
+                    [e + d for e, d in zip(err, delta)],
                     panels,
                 )
             if all(d <= budget for d in delta) or abs(x1 - x0) < mpf(2) ** (-(prec // 2)):
@@ -243,7 +302,45 @@ def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
                 stack.append((x0, xm, budget / 2))
                 stack.append((xm, x1, budget / 2))
     with workprec(prec):
-        return QuadratureResult(*result([+t for t in total], [+e for e in err]), panels)
+        return QuadratureResult([+t for t in total], [+e for e in err], panels)
+
+
+def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
+    """quad_panels on f sampled pointwise in mpf/mpc arithmetic.
+
+    f may return a list instead of a scalar.  Then every component is
+    integrated on the same nodes and panels, `tol` is the budget of each
+    component, a panel is accepted only when all components are within
+    their share, and the result's value and error estimate are lists.
+    """
+    if prec is None:
+        prec = mpmath.mp.prec
+    tol = mpf(tol)
+    is_list = None
+
+    def components(x):
+        nonlocal is_list
+        values = f(x)
+        if is_list is None:
+            is_list = isinstance(values, list)
+        return values if is_list else [values]
+
+    def panel_sums(x0, x1, npts):
+        return _panel(components, x0, x1, npts, prec)
+
+    with workprec(prec + 24):
+        a, b = mpc(a), mpc(b)
+        if a.imag == 0 and b.imag == 0:
+            a, b = a.real, b.real
+    try:
+        res = quad_panels(panel_sums, a, b, tol, prec, max_panels)
+    except QuadratureError as exc:
+        if not is_list:
+            exc.value, exc.error_estimate = exc.value[0], exc.error_estimate[0]
+        raise
+    if not is_list:
+        res.value, res.abs_error_estimate = res.value[0], res.abs_error_estimate[0]
+    return res
 
 
 def quad_decay(f, c, tol, prec=None, envelope_max=1, max_panels=4096):

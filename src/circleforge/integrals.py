@@ -15,8 +15,17 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
 
-from .hpnum import bessel_i1, quad_decay, quad_finite
+from .hpnum import (
+    BesselFactor,
+    bessel_factor_degree,
+    bessel_i1,
+    gauss_legendre_fixed,
+    quad_decay,
+    quad_finite,
+    quad_panels,
+)
 
 __all__ = [
     "MordellParams",
@@ -247,15 +256,41 @@ def script_I(b, k, nu, n, tol, prec=None):
         return +val
 
 
+def _band_guard_bits(k, degree):
+    """Guard bits G of script_I_band for band k and Bessel degree M; see its error budget."""
+    sigma_bits = math.ceil(-math.log2(math.sin(math.pi / (6 * k))))
+    return 24 + 2 * (degree + 1).bit_length() + 2 * sigma_bits
+
+
 def script_I_band(b, k, nus, n, tol, prec=None):
     """script_I(b, k, nu, n, tol, prec) for every nu in nus, in one quadrature.
 
-    The Bessel factor B(x) = sqrt(1-x^2) I_1(...) does not depend on nu and
-    is even in x, so it is computed once per |x| and shared by all nu on
-    the same nodes and panels.  With zeta = e^(i*beta_nu) and e = e^(alpha x),
-    1/cosh(i*beta_nu - alpha x) = 2/(zeta/e + conj(zeta) e), so no (nu, node)
-    pair needs a transcendental function.  tol is the budget of each nu, and
-    each nu's imaginary residue is checked against it as in script_I.
+    All nu share the nodes and panels of one quad_panels run (same rule,
+    tolerance and panel decisions as quad_finite at prec + 16), and the
+    panel sums are formed on Python ints with F = prec + 16 + G fractional
+    bits.  Per node x, with s = 1 - x^2:
+      * B = sqrt(s) I_1(c sqrt(s)), c = (2pi/k) sqrt(2bn), is a BesselFactor
+        polynomial in s, evaluated once per |x| since B is even;
+      * one exp(alpha x), alpha = pi sqrt(b/3)/k, gives ch = cosh(alpha x)
+        and sh = sinh(alpha x);
+      * 1/cosh(i beta_nu - alpha x) = (cos beta_nu ch + i sin beta_nu sh)
+        / (cos^2 beta_nu + sh^2), beta_nu = pi(6nu-1)/(6k): one integer
+        division per (nu, node); cos beta_nu and sin beta_nu multiply the
+        per-nu sums once per panel.
+    tol is the budget of each nu, and each nu's imaginary residue is
+    checked against it as in script_I.
+
+    Error budget.  G = 24 + 2 bits(M+1) + 2 ceil(log2(1/sigma)) with
+    sigma = sin(pi/(6k)) <= |cos beta_nu| and M the polynomial degree; let
+    u = 2^-F.  The polynomial is truncated at relative error 2^-(prec+24).
+    Rounding its coefficients, the Horner steps and s move B by at most
+    3(M+1) u I_1(c) (s S'(s) <= M S(s), and I_1(c) is the largest B).  The
+    denominator cos^2 beta_nu + sh^2 >= sigma^2 carries an error of a few
+    u, i.e. a few u / sigma^2 relative.  To first order in u every node
+    value f(x) is therefore within 2^-(prec+36) (I_1(c) + |f(x)|) of the
+    exact integrand at the computed node, and each per-nu panel sum within
+    2^-(prec+36) (I_1(c) (x1 - x0) + sum_j w_j |f(x_j)|) of the same
+    Gauss-Legendre sum in exact arithmetic.
     """
     if prec is None:
         prec = mpmath.mp.prec
@@ -266,29 +301,59 @@ def script_I_band(b, k, nus, n, tol, prec=None):
         MordellParams(k, nu).validate()
     if not nus:
         return []
-    with workprec(prec + 16):
-        pi = mpmath.pi
-        sq = _sqrt_fraction(b / 3, prec)
-        alpha = pi * sq / k
-        zetas = [mpmath.expjpi(mpf(6 * nu - 1) / (6 * k)) for nu in nus]
-        amp = 2 * pi / k
-        two_b_n = mpf(2 * b.numerator * n) / b.denominator
-        bessel = {}
+    quad_prec = prec + 16
 
-        def integrand(x):
-            s = 1 - x * x
+    def bessel_argument():
+        return 2 * mpmath.pi / k * mpmath.sqrt(mpf(2 * b.numerator * n) / b.denominator)
+
+    with workprec(quad_prec):
+        degree = bessel_factor_degree(bessel_argument(), quad_prec)
+    F = quad_prec + _band_guard_bits(k, degree)
+    with workprec(F + 16):
+        factor = BesselFactor(bessel_argument(), degree, F)
+        alpha = to_fixed((mpmath.pi * _sqrt_fraction(b / 3, F + 16) / k)._mpf_, F)
+        betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
+        cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
+        sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
+        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
+    one = 1 << F
+    one2 = 1 << (2 * F)
+    bessel = {}
+
+    def panel_sums(x0, x1, npts):
+        mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
+        rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
+        re = [0] * len(nus)
+        im = [0] * len(nus)
+        for t, w in gauss_legendre_fixed(npts, quad_prec, F):
+            d = rad * t
+            # truncate toward zero, so mirrored nodes are exact negatives
+            # and share the |x| memo
+            x = mid + (d >> F if d >= 0 else -(-d >> F))
+            s = one - (x * x >> F)
             if s <= 0:
-                return [mpc(0)] * len(zetas)
+                continue
             ax = abs(x)
             weight = bessel.get(ax)
             if weight is None:
-                weight = 2 * mpmath.sqrt(s) * bessel_i1(amp * mpmath.sqrt(two_b_n * s), prec + 16)
-                bessel[ax] = weight
-            e = mpmath.exp(alpha * x)
-            e_inv = 1 / e
-            return [weight / (z * e_inv + z.conjugate() * e) for z in zetas]
+                weight = bessel[ax] = factor(s)
+            e = to_fixed(mpf_exp(from_man_exp(alpha * x, -2 * F), F + 8), F)
+            e_inv = one2 // e
+            ch = (e + e_inv) >> 1
+            sh = (e - e_inv) >> 1
+            sh2 = sh * sh >> F
+            num = w * weight
+            qs = [num // (c2 + sh2) for c2 in cos2_b]
+            re = [r + q * ch for r, q in zip(re, qs)]
+            im = [v + q * sh for v, q in zip(im, qs)]
+        # re and im carry 2F fraction bits; cos/sin beta and rad add F each
+        scale = -4 * F
+        return [mpc(mpf((cb * r * rad, scale)), mpf((sb * v * rad, scale)))
+                for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
 
-        res = quad_finite(integrand, -1, 1, mpf(tol), prec=prec + 16)
+    with workprec(quad_prec):
+        tol = mpf(tol)
+        res = quad_panels(panel_sums, mpf(-1), mpf(1), tol, quad_prec)
         if any(abs(v.imag) > tol for v in res.value):
             raise ArithmeticError("symmetry violation: imaginary residue above tol")
         vals = [v.real for v in res.value]

@@ -233,6 +233,7 @@ def verify_range(n_lo, n_hi, kmax=None, tol=mpf("1e-12"), prec=None, series_orde
                 "dist": mpmath.nstr(res.distance_to_integer, 6),
                 "kmax": res.kmax,
                 "tail": mpmath.nstr(res.tail_estimate, 6),
+                "flagged": res.flagged,
             }
         )
     return {

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-mpmath.mp.prec = 256
 from mpmath import mpf, workprec
 
 from circleforge.integrals import J, J_gap, L_closed, L_contour
@@ -24,6 +23,14 @@ from circleforge.rademacher import (
     p_rademacher,
 )
 from circleforge.transform import check_law, law_applicable, standard_grid
+
+PREC = 256
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_precision():
+    with workprec(PREC):
+        yield
 
 
 def _report(criterion, ok, detail=""):

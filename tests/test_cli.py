@@ -2,11 +2,13 @@
 JSON output, and the coefficient cache audit."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import circleforge
 from circleforge.cli import main
 
 
@@ -24,6 +26,8 @@ def test_exact_n4(capsys):
     assert row["rounded"] == 12
     assert row["oracle"] == 12
     assert row["match"] is True
+    assert row["flagged"] is False
+    assert list(row)[-1] == "flagged"
 
 
 def test_exact_rademacher(capsys):
@@ -133,6 +137,14 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    for args in (["integral", "--which", "L", "--k", "2", "--n", "3", "--y", "1/0"],
+                 ["integral", "--which", "J", "--b", "1/2", "--k", "2", "--z", "1/0"],
+                 ["exact", "--n", "4", "--tol", "1/0"]):
+        assert main(args) == 2, args
+        assert "division by zero" in capsys.readouterr().err
+
+
 def test_env_precision_override(tmp_path, capsys, monkeypatch):
     import circleforge.rademacher as rademacher
 
@@ -163,6 +175,7 @@ def test_mismatch_exit_code(capsys):
     code, rows = run_cli(["exact", "--n", "40", "--kmax", "2"], capsys)
     assert code in (0, 1)  # documents the contract: 1 whenever match is false
     assert rows[0]["match"] is (code == 0)
+    assert rows[0]["flagged"] is True  # dist 0.262 reaches the 0.25 flag threshold
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
@@ -172,9 +185,50 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise QuadratureError("subdivision budget exhausted", 0, 1, 4097)
 
-    monkeypatch.setattr(integrals, "quad_finite", exhausted)
+    monkeypatch.setattr(integrals, "quad_panels", exhausted)
     code = main(["exact", "--n", "4"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "error: numerical failure: subdivision budget exhausted" in captured.err
+
+
+def test_imaginary_residue_exit_code(capsys, monkeypatch):
+    import circleforge.rademacher as rademacher
+
+    def skewed_band(*args, **kwargs):
+        raise ArithmeticError("symmetry violation: imaginary residue above tol")
+
+    monkeypatch.setattr(rademacher, "script_I_band", skewed_band)
+    code = main(["exact", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure: symmetry violation" in captured.err
+
+
+def test_verify_rows_report_flagged(capsys):
+    code, rows = run_cli(["verify", "--from", "3", "--to", "4", "--kmax", "8"], capsys)
+    assert code == 0
+    assert [list(r)[-1] for r in rows[:-1]] == ["flagged", "flagged"]
+    # n = 3 rounds correctly at distance 0.30, past the 0.25 flag threshold
+    assert [r["flagged"] for r in rows[:-1]] == [True, False]
+
+
+def test_cache_concurrent_appends_keep_every_row(tmp_path):
+    # four writers append 30 distinct n each, one row per call
+    cache = tmp_path / "cache.jsonl"
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    script = (
+        "import sys\n"
+        "from circleforge.cli import _cache_append, _cache_rows_for\n"
+        "w, path = int(sys.argv[1]), sys.argv[2]\n"
+        "for n in range(w, 120, 4):\n"
+        "    _cache_append(path, _cache_rows_for('G1', [(n, str(n))], n))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(w), str(cache)], env=env)
+             for w in range(4)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0, 0]
+    ns = [json.loads(line)["n"] for line in cache.read_text().splitlines()]
+    assert sorted(ns) == list(range(120))

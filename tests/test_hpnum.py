@@ -3,7 +3,6 @@ certified quadrature on known integrals."""
 
 import mpmath
 import pytest
-mpmath.mp.prec = 320  # test-level arithmetic must not truncate frozen oracles
 from mpmath import mpf, workprec
 
 from circleforge.hpnum import (
@@ -16,11 +15,20 @@ from circleforge.hpnum import (
     quad_finite,
 )
 
-# frozen from mpmath.besseli at 40 digits
-I1_AT_2 = mpf("1.59063685463732906338225442499966624795448")
-I32_AT_1 = mpf("0.293525326347479799788628858063109236015616")
-# frozen independent oracle (tanh-sinh at 40 digits) for the decay integral
-GAUSS_COSH = mpf("1.47906117144957589085445370321219004668014")
+PREC = 320  # test-level arithmetic must not truncate frozen oracles
+
+with workprec(PREC):
+    # frozen from mpmath.besseli at 40 digits
+    I1_AT_2 = mpf("1.59063685463732906338225442499966624795448")
+    I32_AT_1 = mpf("0.293525326347479799788628858063109236015616")
+    # frozen independent oracle (tanh-sinh at 40 digits) for the decay integral
+    GAUSS_COSH = mpf("1.47906117144957589085445370321219004668014")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_precision():
+    with workprec(PREC):
+        yield
 
 
 def test_default_precision_grows():

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-mpmath.mp.prec = 320  # test-level arithmetic must not truncate frozen oracles
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import to_fixed
 
-from circleforge.hpnum import bessel_i1
+from circleforge.hpnum import (
+    BesselFactor,
+    bessel_factor_degree,
+    bessel_i1,
+    default_precision,
+    quad_finite,
+)
 from circleforge.integrals import (
     J,
     J_gap,
@@ -21,10 +27,20 @@ from circleforge.integrals import (
     mordell_I,
     script_I,
     script_I_band,
+    _band_guard_bits,
 )
 
-# frozen from mpmath.quad (tanh-sinh, 40 digits)
-MORDELL_1_1_AT_1 = mpf("-0.516321344158313640297043516758628784231507")
+PREC = 320  # test-level arithmetic must not truncate frozen oracles
+
+with workprec(PREC):
+    # frozen from mpmath.quad (tanh-sinh, 40 digits)
+    MORDELL_1_1_AT_1 = mpf("-0.516321344158313640297043516758628784231507")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_precision():
+    with workprec(PREC):
+        yield
 
 
 def oracle_mordell(k, nu, z, dps=40):
@@ -158,17 +174,68 @@ def test_script_I_band_matches_per_nu():
     assert script_I_band(Fraction(5, 12), 2, [], 4, tol, prec=96) == []
 
 
+@pytest.mark.parametrize("b, k", [(Fraction(1, 24), 41), (Fraction(5, 12), 42)])
+def test_script_I_band_matches_per_nu_at_guard_bit_edge(b, k):
+    # the largest k of the default kmax at n = 1000, where cos^2 beta_nu is
+    # smallest and the fixed-point guard bits are tightest
+    n = 1000
+    prec = default_precision(n)
+    tol = mpf("1e-12") / (4 * k)
+    nus = list(range(1, k + 1))
+    band = script_I_band(b, k, nus, n, tol, prec=prec)
+    for nu, v in zip(nus, band):
+        assert abs(v - script_I(b, k, nu, n, tol, prec=prec)) < tol, (b, k, nu)
+
+
+@pytest.mark.parametrize("b, k", [(Fraction(1, 24), 1), (Fraction(5, 12), 2)])
+def test_bessel_factor_matches_bessel_i1(b, k):
+    # the band's fixed-point polynomial against the mpf series at n = 1000
+    n = 1000
+    prec = default_precision(n)
+    quad_prec = prec + 16
+    with workprec(quad_prec + 32):
+        c = 2 * mpmath.pi / k * mpmath.sqrt(mpf(2 * b.numerator * n) / b.denominator)
+    degree = bessel_factor_degree(c, quad_prec)
+    F = quad_prec + _band_guard_bits(k, degree)
+    factor = BesselFactor(c, degree, F)
+    for s in (mpf(2) ** -40, mpf("0.3"), mpf(1)):
+        s_fixed = to_fixed(s._mpf_, F)
+        with workprec(F + 32):
+            s_exact = mpf(s_fixed) / 2 ** F
+            got = mpf(factor(s_fixed)) / 2 ** F
+            want = mpmath.sqrt(s_exact) * bessel_i1(c * mpmath.sqrt(s_exact), F + 32)
+            assert abs(got - want) < want * mpf(2) ** -prec, (k, s)
+
+
+# frozen from quad_finite before the bisection loop moved into quad_panels,
+# with the tolerances built at this module's precision (they set mordell_I's cut)
+RUNGE_VALUE = "0.5493603067780063443445087705779847323422"
+RUNGE_ERROR = "4.974666929919458138349170795763906233665e-27"
+MORDELL_2_1_HALF = ("2.487614051225872901619480632203484539007",
+                    "1.869530947138152181843835044349019558032e-46")
+
+
+def test_quad_finite_bit_identical_after_driver_refactor():
+    r = quad_finite(lambda x: 1 / (1 + 25 * x * x), -1, 1, mpf("1e-20"), prec=110)
+    v = mordell_I(2, 1, mpf(1) / 2, mpf("1e-24"), prec=110)
+    with workprec(110):
+        assert r.value == mpf(RUNGE_VALUE)
+        assert r.abs_error_estimate == mpf(RUNGE_ERROR)
+        assert r.subdivisions == 11
+        assert v == mpc(*MORDELL_2_1_HALF)
+
+
 def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
     import circleforge.integrals as integrals
 
-    real_quad = integrals.quad_finite
+    real_driver = integrals.quad_panels
 
     def skewed(*args, **kwargs):
-        res = real_quad(*args, **kwargs)
+        res = real_driver(*args, **kwargs)
         res.value[-1] += mpc(0, "1e-6")
         return res
 
-    monkeypatch.setattr(integrals, "quad_finite", skewed)
+    monkeypatch.setattr(integrals, "quad_panels", skewed)
     with pytest.raises(ArithmeticError):
         script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, mpf("1e-12"), prec=96)
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-mpmath.mp.prec = 256
 from mpmath import mpf, workprec
 
 from circleforge.hpnum import default_precision
@@ -21,6 +20,14 @@ from circleforge.rademacher import (
     p_rademacher,
     verify_range,
 )
+
+PREC = 256
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_precision():
+    with workprec(PREC):
+        yield
 
 
 def test_p_rademacher_small():
@@ -180,16 +187,26 @@ def test_p1bar_exact_ignores_global_precision():
 
 
 def test_bessel_call_count_pin(monkeypatch):
-    # deterministic work count: a later change may lower this pin, never raise it
+    # deterministic work counts: a later change may lower these pins, never raise them
+    import circleforge.hpnum as hpnum
     import circleforge.integrals as integrals
 
     calls = []
-    real_i1 = integrals.bessel_i1
+    panels = []
+    real_factor = hpnum.BesselFactor.__call__
+    real_driver = integrals.quad_panels
 
-    def counted(x, prec):
-        calls.append(x)
-        return real_i1(x, prec)
+    def counted(self, s):
+        calls.append(s)
+        return real_factor(self, s)
 
-    monkeypatch.setattr(integrals, "bessel_i1", counted)
+    def counted_panels(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        panels.append(res.subdivisions)
+        return res
+
+    monkeypatch.setattr(hpnum.BesselFactor, "__call__", counted)
+    monkeypatch.setattr(integrals, "quad_panels", counted_panels)
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
     assert len(calls) == 924
+    assert sum(panels) == 28

@@ -5,8 +5,7 @@ import math
 
 import mpmath
 import pytest
-mpmath.mp.prec = 200
-from mpmath import mpc, mpf
+from mpmath import mpc, mpf, workprec
 
 from circleforge.qseries import named_series
 from circleforge.transform import (
@@ -16,6 +15,13 @@ from circleforge.transform import (
 )
 
 TOL = 1e-10
+PREC = 200
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_precision():
+    with workprec(PREC):
+        yield
 
 
 def test_evaluate_series_constant():
