@@ -8,10 +8,12 @@ Every sum is available through two independent paths:
   * the rewritten classical form, which expresses each modified family as
     a fixed root of unity times a classical sum with shifted arguments.
 
-Equality of the two paths is an exact statement about roots of unity and
-is tested as such (no floating point).  In exact mode a sum is a formal
-integer combination of roots of unity; zero-testing reduces modulo the
-cyclotomic polynomial.
+Every summand of a sum at modulus k is a 24k-th root of unity, so a sum is
+stored in one way only: as the number of summands at each residue r mod
+24k, r standing for e^(i*pi*r/(12k)).  Equality of the two paths is an
+exact statement about these counts (no floating point): equal counts are
+equal sums, and otherwise the difference is reduced modulo a cyclotomic
+polynomial.  `SumValue.value(prec)` evaluates a sum numerically on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .modular import RootOfUnity, farey_neighbors, omega, strengthened_inverse
+from .modular import RootOfUnity, farey_neighbors, omega_residue, strengthened_inverse
 
 __all__ = [
     "KloostermanSpec",
@@ -34,11 +36,9 @@ __all__ = [
     "modified_K",
     "rewritten_classical_form",
     "bound_ratio",
-    "EXACT_MODE_MAX_K",
 ]
 
-EXACT_MODE_MAX_K = 64
-_NUMERIC_MIN_PREC = 128
+_DEFAULT_PREC = 128
 
 
 @dataclass(frozen=True)
@@ -108,180 +108,192 @@ def _poly_divide_exact(num, den):
     return out
 
 
-def _is_zero_combination(terms):
-    """terms: iterable of exponents t (Fractions mod 2); is sum e^(i*pi*t) == 0?"""
-    terms = list(terms)
-    if not terms:
+def _radical(m):
+    """The product of the distinct primes dividing m."""
+    q, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            q *= p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return q * m
+
+
+def _is_zero_combination(modulus, coeffs):
+    """Is the sum of c * e^(2*pi*i*r/modulus) over coeffs {r: c} exactly 0?
+
+    The sum is P(zeta_m) for an integer polynomial P, where m is the least
+    modulus the residues need, and it vanishes iff Phi_m divides P.  With q
+    the radical of m and s = m/q, Phi_m(x) = Phi_q(x^s): P splits into one
+    polynomial in x^s per residue class mod s, and each must vanish modulo
+    Phi_q on its own.
+    """
+    live = [(r, c) for r, c in coeffs.items() if c]
+    if not live:
         return True
-    m = 1
-    for t in terms:
-        m = m * (2 * t.denominator) // math.gcd(m, 2 * t.denominator)
-    coeffs = [0] * m
-    for t in terms:
-        coeffs[(t.numerator * (m // (2 * t.denominator))) % m] += 1
-    phi = _cyclotomic(m)
-    # reduce modulo Phi_m (monic): remainder must vanish identically
+    g = math.gcd(modulus, *(r for r, _ in live))
+    q = _radical(modulus // g)
+    s = modulus // g // q
+    phi = _cyclotomic(q)
     deg = len(phi) - 1
-    for i in range(m - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = 0
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * phi[j]
-    return not any(coeffs[:deg])
+    classes = {}
+    for r, c in live:
+        poly = classes.setdefault(r // g % s, [0] * q)
+        poly[r // g // s] += c
+    for poly in classes.values():
+        # reduce modulo Phi_q (monic): the remainder must vanish identically
+        for i in range(q - 1, deg - 1, -1):
+            c = poly[i]
+            if c:
+                for j in range(deg):
+                    poly[i - deg + j] -= c * phi[j]
+        if any(poly[:deg]):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _root(num, den, prec):
+    """e^(i*pi*num/den) at prec bits: the one cos/sin evaluation per root."""
+    with mpmath.workprec(prec):
+        return mpmath.expjpi(mpmath.mpf(num) / den)
 
 
 class SumValue:
-    """Value of a Kloosterman-type sum.
+    """Value of a Kloosterman-type sum: counts of roots of unity.
 
-    In exact mode `terms` holds the unit-modulus summands as exponent
-    Fractions; `value()` evaluates numerically on demand.  Sums beyond the
-    exact-mode cutoff carry only a high-precision complex value, accumulated
-    in ascending h order for determinism.
+    `counts[r]` summands equal e^(2*pi*i*r/modulus); a sum at modulus k has
+    modulus 24k.  Every sum is exact, so `exact` is always True.  `terms`
+    lists the summands as exponents t in [0, 2), meaning e^(i*pi*t), in
+    residue order, and `SumValue(terms=...)` builds a sum from such a list.
+    `value(prec)` evaluates at prec bits with one cos/sin per distinct
+    root and precision, shared by all sums.
     """
 
-    __slots__ = ("terms", "term_count", "_numeric")
+    __slots__ = ("modulus", "counts", "term_count")
+    exact = True
 
-    def __init__(self, terms=None, numeric=None, term_count=None):
-        self.terms = tuple(terms) if terms is not None else None
-        self._numeric = numeric
-        if term_count is None:
-            term_count = len(self.terms) if self.terms is not None else 0
-        self.term_count = term_count
+    def __init__(self, terms=(), modulus=None, counts=None):
+        if counts is None:
+            terms = [Fraction(t) % 2 for t in terms]
+            modulus = math.lcm(2, *(2 * t.denominator for t in terms))
+            counts = {}
+            for t in terms:
+                r = t.numerator * modulus // (2 * t.denominator)
+                counts[r] = counts.get(r, 0) + 1
+        self.modulus = modulus
+        self.counts = counts
+        self.term_count = sum(counts.values())
 
     @property
-    def exact(self):
-        return self.terms is not None
+    def terms(self):
+        return tuple(Fraction(2 * r, self.modulus)
+                     for r in sorted(self.counts) for _ in range(self.counts[r]))
 
-    def value(self, prec=_NUMERIC_MIN_PREC):
-        if self.terms is None:
-            return self._numeric
+    def value(self, prec=_DEFAULT_PREC):
         with mpmath.workprec(prec):
-            return sum((RootOfUnity(t).to_mpc() for t in self.terms), mpmath.mpc(0))
+            total = mpmath.mpc(0)
+            for r in sorted(self.counts):
+                g = math.gcd(2 * r, self.modulus)
+                total += self.counts[r] * _root(2 * r // g, self.modulus // g, prec)
+            return total
 
     def __neg__(self):
-        if self.terms is not None:
-            return SumValue(terms=[(t + 1) % 2 for t in self.terms],
-                            term_count=self.term_count)
-        return SumValue(numeric=-self._numeric, term_count=self.term_count)
+        n = self.modulus
+        return SumValue(modulus=n, counts={(r + n // 2) % n: c for r, c in self.counts.items()})
 
     def conjugate(self):
-        if self.terms is not None:
-            return SumValue(terms=[(-t) % 2 for t in self.terms],
-                            term_count=self.term_count)
-        return SumValue(numeric=mpmath.conj(self._numeric), term_count=self.term_count)
+        n = self.modulus
+        return SumValue(modulus=n, counts={-r % n: c for r, c in self.counts.items()})
 
-    def equals(self, other, prec=_NUMERIC_MIN_PREC):
-        """Exact equality when both sides carry terms, else numeric to ~prec."""
-        if self.terms is not None and other.terms is not None:
-            if sorted(self.terms) == sorted(other.terms):
-                return True  # identical multisets; skip cyclotomic reduction
-            diff = list(self.terms) + [(t + 1) % 2 for t in other.terms]
-            return _is_zero_combination([Fraction(t) for t in diff])
-        with mpmath.workprec(prec):
-            a, b = self.value(prec), other.value(prec)
-            scale = max(1, self.term_count, other.term_count)
-            return abs(a - b) < mpmath.mpf(2) ** (16 - prec) * scale
+    def equals(self, other):
+        """Exact equality: equal counts, else a zero test of the difference."""
+        if self.modulus == other.modulus and self.counts == other.counts:
+            return True
+        modulus = math.lcm(self.modulus, other.modulus)
+        diff = {}
+        for sv, sign in ((self, 1), (other, -1)):
+            scale = modulus // sv.modulus
+            for r, c in sv.counts.items():
+                diff[r * scale] = diff.get(r * scale, 0) + sign * c
+        return _is_zero_combination(modulus, diff)
 
     def is_zero(self):
-        if self.terms is not None:
-            return _is_zero_combination([Fraction(t) for t in self.terms])
-        return abs(self._numeric) < mpmath.mpf(2) ** (16 - _NUMERIC_MIN_PREC)
+        return _is_zero_combination(self.modulus, self.counts)
 
     def __repr__(self):
-        mode = "exact" if self.exact else "numeric"
-        return f"SumValue({mode}, terms={self.term_count}, value~{complex(self.value(64)):.6g})"
+        return f"SumValue(terms={self.term_count}, value~{complex(self.value(64)):.6g})"
 
 
-def _coprime_residues(k):
-    if k == 1:
-        return [0]
-    return [h for h in range(k) if math.gcd(h, k) == 1]
+@lru_cache(maxsize=None)
+def _classical_rows(k):
+    """(h, h', 0) over h coprime to k (h = 0 at k = 1), with h*h' == -1 (mod k)."""
+    return tuple((h, (-pow(h, -1, k)) % k, 0) for h in range(k) if math.gcd(h, k) == 1)
 
 
-def _ordinary_negative_inverse(h, k):
-    """h' with h*h' == -1 (mod k), least non-negative."""
-    if k == 1:
-        return 0
-    return (-pow(h, -1, k)) % k
-
-
-def _collect(spec, exponent_fn, exact=None):
-    """Assemble a SumValue over admissible h from a per-term exponent function."""
+def _collect(spec, rows, a, b, c=0):
+    """The SumValue with one summand per admissible row (h, h', base) at
+    residue base + a*h + b*h' + c mod 24k, i.e. e^(i*pi*residue/(12k))."""
     k = spec.k
-    if exact is None:
-        exact = k <= EXACT_MODE_MAX_K
-    residues = _coprime_residues(k)
     if spec.family in ("incomplete", "modified_incomplete"):
-        admissible = []
-        for h in residues:
-            k1 = farey_neighbors(h, k, spec.N).k1
-            if spec.N < k + k1 <= spec.ell:
-                admissible.append(h)
-        residues = admissible
-    if exact:
-        return SumValue(terms=[exponent_fn(h) % 2 for h in residues])
-    with mpmath.workprec(max(_NUMERIC_MIN_PREC, mpmath.mp.prec)):
-        total = mpmath.mpc(0)
-        for h in residues:
-            t = exponent_fn(h) % 2
-            total += mpmath.expjpi(mpmath.mpf(t.numerator) / t.denominator)
-    return SumValue(numeric=total, term_count=len(residues))
+        rows = [row for row in rows
+                if spec.N < k + farey_neighbors(row[0], k, spec.N).k1 <= spec.ell]
+    modulus = 24 * k
+    a, b = a % modulus, b % modulus
+    counts = {}
+    for h, hp, base in rows:
+        r = (base + a * h + b * hp + c) % modulus
+        counts[r] = counts.get(r, 0) + 1
+    return SumValue(modulus=modulus, counts=counts)
 
 
-def classical_K(k, n, m=0, exact=None):
+def classical_K(k, n, m=0):
     """K_k(n,m) = sum over h coprime to k of e^(-2*pi*i*(n*h - m*h')/k)."""
     spec = KloostermanSpec("classical", k, n, m)
     spec.validate()
-
-    def exponent(h):
-        hp = _ordinary_negative_inverse(h, k)
-        return Fraction(-2 * (n * h - m * hp), k)
-
-    return _collect(spec, exponent, exact)
+    return _collect(spec, _classical_rows(k), -24 * n, 24 * m)
 
 
-def incomplete_K(k, ell, N, n, m=0, exact=None):
+def incomplete_K(k, ell, N, n, m=0):
     """The classical sum restricted to h with N < k + k1 <= ell."""
     spec = KloostermanSpec("incomplete", k, n, m, ell=ell, N=N)
     spec.validate()
-
-    def exponent(h):
-        hp = _ordinary_negative_inverse(h, k)
-        return Fraction(-2 * (n * h - m * hp), k)
-
-    return _collect(spec, exponent, exact)
+    return _collect(spec, _classical_rows(k), -24 * n, 24 * m)
 
 
-def A_k(k, n, exact=None):
+def A_k(k, n):
     """A_k(n) = sum over h of omega_{h,k} e^(-2*pi*i*n*h/k)."""
     spec = KloostermanSpec("A", k, n)
     spec.validate()
-
-    def exponent(h):
-        return omega(h, k).exponent + Fraction(-2 * n * h, k)
-
-    return _collect(spec, exponent, exact)
+    rows = [(h, 0, omega_residue(h, k)) for h, _, _ in _classical_rows(k)]
+    return _collect(spec, rows, -24 * n, 0)
 
 
-def _multiplier_exponent(d, j, k, h):
-    """Exponent of the omega-ratio multiplier of family (d, j) at this h."""
+def _multiplier_residue(d, j, k, h):
+    """The omega-ratio multiplier of family (d, j) at h, as a residue mod 24k."""
+    def w(hh, kk):  # omega_{hh,kk} in units of e^(i*pi/(12k))
+        return omega_residue(hh, kk) * (k // kk)
+
     if d == 4:
-        base = omega(h, k // 2) ** 4 / omega(h, k // 4) ** 2
-        if j == 3:
-            base = omega(h, k // 2) ** 6 / (omega(h, k) ** 4 * omega(h, k // 4) ** 2)
+        num, den = w(h, k // 2), w(h, k // 4)
     elif d == 2:
-        base = omega(h, k // 2) ** 4 / omega(2 * h, k // 2) ** 2
-        if j == 3:
-            base = omega(h, k // 2) ** 6 / (omega(h, k) ** 4 * omega(2 * h, k // 2) ** 2)
+        num, den = w(h, k // 2), w(2 * h, k // 2)
     else:
-        base = omega(2 * h, k) ** 4 / omega(4 * h, k) ** 2
-        if j == 3:
-            base = omega(2 * h, k) ** 6 / (omega(h, k) ** 4 * omega(4 * h, k) ** 2)
-    return base.exponent
+        num, den = w(2 * h, k), w(4 * h, k)
+    if j == 3:
+        return (6 * num - 4 * w(h, k) - 2 * den) % (24 * k)
+    return (4 * num - 2 * den) % (24 * k)
 
 
-def modified_K(spec, exact=None):
+@lru_cache(maxsize=None)
+def _modified_rows(d, j, k):
+    """(h, h', multiplier residue): the n-, m- and nu-free data of family (d, j)."""
+    return tuple((h, strengthened_inverse(h, k).hprime, _multiplier_residue(d, j, k, h))
+                 for h, _, _ in _classical_rows(k))
+
+
+def modified_K(spec):
     """Direct evaluation of a modified (possibly incomplete) family.
 
     For the d=1 families the factors h'/4 and 3h'/4 are evaluated through
@@ -297,26 +309,15 @@ def modified_K(spec, exact=None):
     if spec.family not in ("modified", "modified_incomplete"):
         raise ValueError("modified_K expects a modified family spec")
     d, j, k, nu, n, m = spec.d, spec.j, spec.k, spec.nu, spec.n, spec.m
-    inv8 = pow(8, -1, k) if d == 1 and k > 1 else 0
-
-    def exponent(h):
-        hp = strengthened_inverse(h, k).hprime
-        t = _multiplier_exponent(d, j, k, h)
-        if d in (2, 4):
-            if j == 1:
-                t += Fraction(hp * (2 - 3 * k), 4)
-            elif j == 2:
-                t += Fraction(hp * (-3 * nu * nu + nu), k)
-            t += Fraction(2 * (-n * h + m * hp), k)
-        else:
-            if j == 1:
-                t += Fraction(2 * 3 * inv8 * hp, k)
-            elif j == 2:
-                t += Fraction(hp * (-3 * nu * nu + nu), k)
-            t += Fraction(2 * (-n * h + 2 * inv8 * m * hp), k)
-        return t
-
-    return _collect(spec, exponent, exact)
+    # the exponents of the h'-factors, times 12k
+    if d in (2, 4):
+        b = 24 * m + (3 * k * (2 - 3 * k) if j == 1 else 0)
+    else:
+        inv8 = pow(8, -1, k) if k > 1 else 0
+        b = 48 * inv8 * m + (72 * inv8 if j == 1 else 0)
+    if j == 2:
+        b += 12 * (-3 * nu * nu + nu)
+    return _collect(spec, _modified_rows(d, j, k), -24 * n, b)
 
 
 def _exact_div(a, b, what):
@@ -387,7 +388,7 @@ def _rewrite_data(spec):
     return pref, n_new, m_new
 
 
-def rewritten_classical_form(spec, exact=None):
+def rewritten_classical_form(spec):
     """The equivalent classical-sum form of a modified family.
 
     Returns prefactor * K_k(n', m') (with the incomplete restriction carried
@@ -404,15 +405,12 @@ def rewritten_classical_form(spec, exact=None):
         "incomplete" if spec.family == "modified_incomplete" else "classical",
         k, n_new, m_new, ell=spec.ell, N=spec.N,
     )
-
-    def exponent(h):
-        hp = _ordinary_negative_inverse(h, k)
-        return pref.exponent + Fraction(-2 * (n_new * h - m_new * hp), k)
-
-    return _collect(filtered, exponent, exact)
+    t = pref.exponent
+    return _collect(filtered, _classical_rows(k), -24 * n_new, 24 * m_new,
+                    _exact_div(12 * k * t.numerator, t.denominator, "prefactor"))
 
 
-def bound_ratio(sum_value, k, n, prec=_NUMERIC_MIN_PREC):
+def bound_ratio(sum_value, k, n, prec=_DEFAULT_PREC):
     """|K| / (max(|n|,1)^(1/3) * k^(2/3)): growth diagnostic, not a proof."""
     with mpmath.workprec(prec):
         mag = abs(sum_value.value(prec))

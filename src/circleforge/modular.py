@@ -21,6 +21,7 @@ __all__ = [
     "strengthened_inverse",
     "RootOfUnity",
     "omega",
+    "omega_residue",
     "FareyArc",
     "farey_neighbors",
     "farey_sequence",
@@ -135,25 +136,17 @@ class RootOfUnity:
         return {"num": self.exponent.numerator, "den": self.exponent.denominator}
 
 
-def _omega_exponent(h, k, hprime, branch):
-    """The -E part of omega = (kronecker) * e^(-i*pi*E), as an exact Fraction."""
-    poly = 2 * h - hprime + h * h * hprime
-    shared = Fraction(k * k - 1, 12 * k) * poly
-    if branch == "h_odd":
-        return Fraction(2 - h * k - h, 4) + shared
-    if branch == "k_odd":
-        return Fraction(k - 1, 4) + shared
-    raise ValueError(f"unknown branch {branch!r}")
-
-
 @lru_cache(maxsize=None)
-def omega(h, k, hprime=None, branch="auto"):
-    """The eta-multiplier root of unity for the fraction h/k.
+def omega_residue(h, k, hprime=None, branch="auto"):
+    """omega_{h,k} as the residue r mod 24k with omega = e^(i*pi*r/(12k)).
 
-    h is used literally (2h, 4h arguments in the Kloosterman sums are not
-    reduced mod k).  The branch is chosen by parity; when h and k are both
-    odd the k-odd branch is the fixed convention, and `branch` can override
-    it for the agreement diagnostic.
+    omega = (kronecker sign) * e^(-i*pi*E), and r is the integer
+    12k * (-E + [sign is -1]): every exponent of the eta multiplier is a
+    multiple of 1/(12k).  h is used literally
+    (2h, 4h arguments in the Kloosterman sums are not reduced mod k).  The
+    branch is chosen by parity; when h and k are both odd the k-odd branch
+    is the fixed convention, and `branch` can override it for the
+    agreement diagnostic.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -165,20 +158,26 @@ def omega(h, k, hprime=None, branch="auto"):
         hprime = strengthened_inverse(h, k).hprime
     if branch == "auto":
         branch = "k_odd" if k % 2 == 1 else "h_odd"
-    if branch == "h_odd" and h % 2 == 0:
-        raise ValueError("h-odd branch needs odd h")
-    if branch == "k_odd" and k % 2 == 0:
-        raise ValueError("k-odd branch needs odd k")
     if branch == "h_odd":
-        sign = kronecker(-k, h)
+        if h % 2 == 0:
+            raise ValueError("h-odd branch needs odd h")
+        sign, r = kronecker(-k, h), -3 * k * (2 - h * k - h)
+    elif branch == "k_odd":
+        if k % 2 == 0:
+            raise ValueError("k-odd branch needs odd k")
+        sign, r = kronecker(-h, k), -3 * k * (k - 1)
     else:
-        sign = kronecker(-h, k)
+        raise ValueError(f"unknown branch {branch!r}")
     if sign == 0:
         raise ValueError("vanishing Kronecker symbol; arguments not coprime")
-    t = -_omega_exponent(h, k, hprime, branch)
-    if sign == -1:
-        t += 1
-    return RootOfUnity.from_exponent(t)
+    # a Kronecker sign of -1 adds 1 to the exponent, 12k to the residue
+    return (r - (k * k - 1) * (2 * h - hprime + h * h * hprime) + 6 * k * (1 - sign)) % (24 * k)
+
+
+@lru_cache(maxsize=None)
+def omega(h, k, hprime=None, branch="auto"):
+    """The eta-multiplier root of unity for the fraction h/k (see omega_residue)."""
+    return RootOfUnity(Fraction(omega_residue(h, k, hprime, branch), 12 * k))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .hpnum import bessel_i32, default_precision
-from .integrals import script_I, script_I_band
+from .integrals import script_I_band
 from .kloosterman import A_k, KloostermanSpec, modified_K
 from .qseries import named_series
 
@@ -110,6 +110,12 @@ def _band_b(d):
     return Fraction(1, 24) if d == 1 else Fraction(5, 12)
 
 
+def _band_prefactors(n):
+    """{d: prefactor of the gcd(4,k) = d bands} at the working precision."""
+    front = mpmath.pi / (12 * mpmath.sqrt(mpf(6 * n)))
+    return {1: front, 2: 5 * front}
+
+
 def p1bar_term(d, k, n, tol, prec=None):
     """The k-th band (1/k^2) sum_nu (-1)^(n+nu) K_k(nu,n) script_I(b,k,nu;n).
 
@@ -127,8 +133,8 @@ def p1bar_term(d, k, n, tol, prec=None):
         weights = {}
         for nu in range(1, k + 1):
             ksum = modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu))
-            kval = ksum.value(prec)
-            if kval != 0:
+            if not ksum.is_zero():
+                kval = ksum.value(prec)
                 weights[nu] = -kval if (n + nu) % 2 else kval
         integrals = script_I_band(b, k, list(weights), n, mpf(tol) / (4 * k), prec=prec)
         total = mpmath.mpc(0)
@@ -153,8 +159,7 @@ def p1bar_exact(n, kmax=None, tol=mpf("1e-12"), prec=None):
         prec = default_precision(n)
     tol = mpf(tol)
     with workprec(prec):
-        front1 = mpmath.pi / (12 * mpmath.sqrt(mpf(6 * n)))
-        front2 = 5 * front1
+        front = _band_prefactors(n)
         per_k = []
         total = mpmath.mpc(0)
         for k in range(1, kmax + 1):
@@ -162,7 +167,7 @@ def p1bar_exact(n, kmax=None, tol=mpf("1e-12"), prec=None):
             if d == 4:
                 continue
             band = p1bar_term(d, k, n, tol, prec=prec)
-            term = (front1 if d == 1 else front2) * band
+            term = front[d] * band
             total += term
             per_k.append((k, term))
         result = _round_result(n, kmax, total, per_k, prec)
@@ -187,20 +192,17 @@ def p1bar_asymptotic(n, prec=None):
 
 
 def p1bar_dominant(n, tol=mpf("1e-12"), prec=None):
-    """The k=2 band alone: 5*pi/(48 sqrt(6n)) (script_I(5/12,2,0) + script_I(5/12,2,1)).
+    """The k=2 band alone, with its prefactor 5*pi/(12 sqrt(6n)).
 
-    The labels 0 and 1 are the residues mod 2; in the fixed 1..k system the
-    class of 0 is represented by 2, and script_I flips sign under nu -> nu+k,
-    which combined with the Kloosterman values gives exactly this two-term
-    form.
+    It equals 5*pi/(48 sqrt(6n)) (script_I(5/12,2,0) + script_I(5/12,2,1)):
+    both Kloosterman values at k=2 are +-1, and in the fixed 1..k system the
+    class of 0 is represented by 2, where script_I flips sign.
     """
     if prec is None:
         prec = default_precision(n)
-    b = Fraction(5, 12)
     with workprec(prec):
-        i0 = script_I(b, 2, 0, n, mpf(tol) / 8, prec=prec)
-        i1 = script_I(b, 2, 1, n, mpf(tol) / 8, prec=prec)
-        return +(5 * mpmath.pi / (48 * mpmath.sqrt(mpf(6 * n))) * (i0 + i1))
+        band = p1bar_term(2, 2, n, tol, prec=prec)
+        return +(_band_prefactors(n)[2] * band.real)
 
 
 def verify_range(n_lo, n_hi, kmax=None, tol=mpf("1e-12"), prec=None, series_order=None):

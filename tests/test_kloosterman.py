@@ -6,6 +6,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from circleforge.kloosterman import (
@@ -212,14 +213,57 @@ def test_bound_ratio_large_k_finite():
         assert _math.isfinite(r) and r >= 0
 
 
-def test_exact_mode_cutoff():
-    assert classical_K(10, 1, 1).exact
-    big = classical_K(101, 1, 1)
-    assert not big.exact
+def test_classical_k101_exact_matches_brute_force():
+    k, n, m = 101, 1, 1
+    big = classical_K(k, n, m)
+    assert big.exact
     assert big.term_count == 100
-    # numeric path agrees with a forced-exact evaluation
-    forced = classical_K(101, 1, 1, exact=True)
-    assert abs(big.value(128) - forced.value(128)) < 1e-30
+    with mpmath.workprec(128):
+        brute = mpmath.mpc(0)
+        for h in range(1, k):
+            hp = (-pow(h, -1, k)) % k
+            brute += mpmath.expjpi(mpmath.mpf(-2 * (n * h - m * hp)) / k)
+        assert abs(big.value(128) - brute) < 1e-30
+
+
+def test_dual_path_exact_beyond_k64():
+    # sums are exact at every k, so the two paths agree exactly past k = 64 too
+    specs = []
+    for d, ks in ((1, (65, 99)), (2, (70, 98)), (4, (68, 100))):
+        for k in ks:
+            for j in (1, 2, 3):
+                for nu in ((1, k // 3, k) if j == 2 else (None,)):
+                    specs.append(KloostermanSpec("modified", k, 5, 7, d=d, j=j, nu=nu))
+    specs.append(KloostermanSpec("modified_incomplete", 70, 3, 2, d=2, j=2, nu=5,
+                                 ell=100, N=80))
+    for spec in specs:
+        direct, rewritten = modified_K(spec), rewritten_classical_form(spec)
+        assert direct.equals(rewritten), spec
+        if not direct.is_zero():
+            assert not direct.equals(-rewritten), spec
+
+
+def test_modified_value_ignores_global_precision():
+    spec = KloostermanSpec("modified", 70, 5, 7, d=2, j=2, nu=3)
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 53
+        low = modified_K(spec).value(200)
+        mpmath.mp.prec = 320
+        high = modified_K(spec).value(200)
+    finally:
+        mpmath.mp.prec = saved
+    assert low == high
+
+
+def test_equals_returns_bool():
+    a = classical_K(12, 0, 0)  # the Ramanujan sum c_12(0) = 4
+    same_counts = a.equals(classical_K(12, 0, 0))
+    # same sum at another modulus: decided by the cyclotomic reduction
+    reduced = classical_K(1, 0, 0).equals(SumValue(terms=[0]))
+    differs = a.equals(classical_K(12, 1, 0))  # c_12(1) = 0
+    assert (same_counts, reduced, differs) == (True, True, False)
+    assert all(type(x) is bool for x in (same_counts, reduced, differs))
 
 
 def test_sumvalue_neg_and_zero():

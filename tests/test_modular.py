@@ -14,6 +14,7 @@ from circleforge.modular import (
     kronecker,
     multiplier_identity_check,
     omega,
+    omega_residue,
     strengthened_inverse,
 )
 
@@ -122,6 +123,36 @@ def test_omega_branch_agreement_on_overlap():
                 if omega(h, k, branch="k_odd") != omega(h, k, branch="h_odd"):
                     disagreements.append((h, k))
     assert disagreements == []
+
+
+def _omega_exponent(h, k, hprime, branch):
+    """The -E part of omega = (kronecker) * e^(-i*pi*E), as an exact Fraction."""
+    poly = 2 * h - hprime + h * h * hprime
+    shared = Fraction(k * k - 1, 12 * k) * poly
+    if branch == "h_odd":
+        return Fraction(2 - h * k - h, 4) + shared
+    return Fraction(k - 1, 4) + shared
+
+
+def test_omega_residue_matches_fraction_formula():
+    # the integer residue mod 24k against the rational exponent formula, on
+    # every branch that is defined at (h, k)
+    checked = 0
+    for k in range(1, 101):
+        for h in range(k):
+            if math.gcd(h, k) != 1:
+                continue
+            hp = strengthened_inverse(h, k).hprime
+            for branch in ("h_odd", "k_odd"):
+                if (h if branch == "h_odd" else k) % 2 == 0:
+                    continue
+                sign = kronecker(-k, h) if branch == "h_odd" else kronecker(-h, k)
+                t = (-_omega_exponent(h, k, hp, branch) + (sign == -1)) % 2
+                r = omega_residue(h, k, branch=branch)
+                assert 0 <= r < 24 * k and Fraction(r, 12 * k) == t, (h, k, branch)
+                assert omega(h, k, branch=branch) == RootOfUnity.from_exponent(t)
+                checked += 1
+    assert checked > 3000
 
 
 def test_omega_branch_validation():

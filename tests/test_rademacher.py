@@ -208,5 +208,18 @@ def test_bessel_call_count_pin(monkeypatch):
     monkeypatch.setattr(hpnum.BesselFactor, "__call__", counted)
     monkeypatch.setattr(integrals, "quad_panels", counted_panels)
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
-    assert len(calls) == 924
-    assert sum(panels) == 28
+    assert len(calls) == 858
+    assert sum(panels) == 26
+
+
+def test_kloosterman_root_evaluation_pin(monkeypatch):
+    # deterministic work count: the cos/sin evaluations behind every
+    # SumValue.value of p1bar_exact(55); a later change may lower it, never raise it
+    import functools
+
+    import circleforge.kloosterman as kloosterman
+
+    fresh = functools.lru_cache(maxsize=None)(kloosterman._root.__wrapped__)
+    monkeypatch.setattr(kloosterman, "_root", fresh)
+    assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
+    assert fresh.cache_info().misses == 82
