@@ -183,17 +183,7 @@ def cmd_exact(args, cfg):
         else:
             res = p1bar_exact(n, kmax=cfg.kmax, tol=tol, prec=prec)
             oracle = qseries.named_series("G1", n).coefficient(n)
-    row = {
-        "n": n,
-        "value": _nstr(res.value),
-        "rounded": res.rounded,
-        "oracle": oracle,
-        "match": res.rounded == oracle,
-        "dist": _nstr(res.distance_to_integer, 6),
-        "kmax": res.kmax,
-        "tail": _nstr(res.tail_estimate, 6),
-        "flagged": res.flagged,
-    }
+    row = res.to_json_dict(oracle)
     _emit(row)
     _cache_append(
         cfg.cache_path,
@@ -238,7 +228,7 @@ def cmd_kloosterman(args, cfg):
         "m": m,
         "re": _nstr(val.real),
         "im": _nstr(val.imag),
-        "bound_ratio": bound_ratio(sv, k, n),
+        "bound_ratio": bound_ratio(sv, k, n, prec),
     })
     return 0
 

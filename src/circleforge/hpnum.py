@@ -7,14 +7,13 @@ called under.  Quadrature is one adaptive driver, `quad_panels`: bisection
 with an embedded pair of Gauss-Legendre rules, where panels are accepted
 when the rule difference is within the local error budget, so the
 reported error estimate bounds the discretization error of the accepted
-value.  The driver takes the panel sums as a function.  `quad_finite`
-supplies them pointwise in mpf/mpc; an integrand may return a list of
-values instead of a scalar, and the components then share the nodes and
-the panel tree, a panel being accepted only when every component meets
-its budget.  The p1bar band integrals supply them in Python-integer fixed
-point instead, from `gauss_legendre_fixed` (the same nodes as ints) and
-`BesselFactor` (sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by
-Horner's rule); `bessel_i1` stays the mpf reference for that polynomial.
+value.  The driver takes the panel sums as a function, one sum per
+component, and accepts a panel only when every component meets its budget.
+`quad_finite` supplies one scalar sum pointwise in mpf/mpc.  The p1bar
+band integrals supply one sum per nu in Python-integer fixed point, from
+`gauss_legendre_fixed` (the same nodes as ints) and `BesselFactor`
+(sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by Horner's rule);
+`bessel_i1` stays the mpf reference for that polynomial.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadratureResult:
-    value: object  # mpf or mpc; a list of them for a list-valued integrand
-    abs_error_estimate: object  # mpf; a list for a list-valued integrand
+    value: object  # mpf or mpc; a list of them from quad_panels
+    abs_error_estimate: object  # mpf; a list from quad_panels
     subdivisions: int
 
 
@@ -246,19 +245,14 @@ class BesselFactor:
 
 
 def _panel(f, a, b, npts, prec):
-    """Gauss-Legendre sums on [a, b], one per component of the list-valued f."""
+    """The npts-point Gauss-Legendre sum of f on [a, b], as a one-component list."""
     nodes = _gauss_legendre_nodes(npts, prec)
     mid = (a + b) / 2
     rad = (b - a) / 2
-    sums = None
+    total = 0
     for x, w in nodes:
-        values = f(mid + rad * x)
-        if sums is None:
-            sums = [w * v for v in values]
-        else:
-            for i, v in enumerate(values):
-                sums[i] += w * v
-    return [s * rad for s in sums]
+        total += w * f(mid + rad * x)
+    return [total * rad]
 
 
 def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
@@ -305,52 +299,32 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
         return QuadratureResult([+t for t in total], [+e for e in err], panels)
 
 
-def quad_finite(f, a, b, tol, prec=None, max_panels=4096):
-    """quad_panels on f sampled pointwise in mpf/mpc arithmetic.
-
-    f may return a list instead of a scalar.  Then every component is
-    integrated on the same nodes and panels, `tol` is the budget of each
-    component, a panel is accepted only when all components are within
-    their share, and the result's value and error estimate are lists.
-    """
-    if prec is None:
-        prec = mpmath.mp.prec
-    tol = mpf(tol)
-    is_list = None
-
-    def components(x):
-        nonlocal is_list
-        values = f(x)
-        if is_list is None:
-            is_list = isinstance(values, list)
-        return values if is_list else [values]
+def quad_finite(f, a, b, tol, prec, max_panels=4096):
+    """quad_panels on the scalar integrand f sampled pointwise in mpf/mpc."""
 
     def panel_sums(x0, x1, npts):
-        return _panel(components, x0, x1, npts, prec)
+        return _panel(f, x0, x1, npts, prec)
 
     with workprec(prec + 24):
+        tol = mpf(tol)
         a, b = mpc(a), mpc(b)
         if a.imag == 0 and b.imag == 0:
             a, b = a.real, b.real
     try:
         res = quad_panels(panel_sums, a, b, tol, prec, max_panels)
     except QuadratureError as exc:
-        if not is_list:
-            exc.value, exc.error_estimate = exc.value[0], exc.error_estimate[0]
+        exc.value, exc.error_estimate = exc.value[0], exc.error_estimate[0]
         raise
-    if not is_list:
-        res.value, res.abs_error_estimate = res.value[0], res.abs_error_estimate[0]
+    res.value, res.abs_error_estimate = res.value[0], res.abs_error_estimate[0]
     return res
 
 
-def quad_decay(f, c, tol, prec=None, envelope_max=1, max_panels=4096):
+def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
     """Integral over the real line of f with |f(x)| <= envelope_max * |e^(-c x^2)|.
 
     Truncates to [-X, X] with the Gaussian tail certified below tol/4 and
     runs quad_finite on the rest of the budget.  Re c must be positive.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     with workprec(prec + 24):
         c = mpc(c)
         if c.real <= 0:

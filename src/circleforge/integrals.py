@@ -89,15 +89,13 @@ def cosh_path_floor(k, nu, z, prec):
         return floor
 
 
-def mordell_I(k, nu, z, tol, prec=None):
+def mordell_I(k, nu, z, tol, prec):
     """I_{k,nu}(z): the Gaussian/cosh integral over the real line.
 
     Requires Re z > 0.  For real z the integrand is conjugate-symmetric
     under x -> -x, so the value is real; the numeric imaginary part is kept
     as a sanity residue for the caller.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     MordellParams(k, nu).validate()
     with workprec(prec + 16):
         z = mpc(z)
@@ -120,10 +118,8 @@ def mordell_I(k, nu, z, tol, prec=None):
         return +res.value
 
 
-def J(b, k, nu, z, tol, prec=None):
+def J(b, k, nu, z, tol, prec):
     """z * e^(pi*b/(k*z)) * I_{k,nu}(z)."""
-    if prec is None:
-        prec = mpmath.mp.prec
     b = Fraction(b)
     with workprec(prec + 16):
         z = mpc(z)
@@ -147,10 +143,8 @@ def _truncated_integrand(b, k, nu, z, prec):
     return sq, integrand
 
 
-def Jstar(b, k, nu, z, tol, prec=None):
+def Jstar(b, k, nu, z, tol, prec):
     """Principal part truncation: sqrt(b/3) * int_{-1}^{1} of the wrapped kernel."""
-    if prec is None:
-        prec = mpmath.mp.prec
     b = Fraction(b)
     if b <= 0:
         raise ValueError("Jstar needs b > 0")
@@ -165,15 +159,13 @@ def Jstar(b, k, nu, z, tol, prec=None):
         return +val
 
 
-def J_gap(b, k, nu, z, tol, prec=None):
+def J_gap(b, k, nu, z, tol, prec):
     """J - Jstar computed without cancellation, as the tail integral over |x| > 1.
 
     Rescaling x by z/sqrt(b/3) in the Mordell integral turns J into the
     Jstar integrand over the whole line, so the gap is just the two tails,
     where the exponential factor only damps.  Valid for real z > 0, b > 0.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     b = Fraction(b)
     if b <= 0:
         raise ValueError("J_gap needs b > 0")
@@ -220,15 +212,13 @@ def lemma35_gap(b, k, nu, z_values, tol=mpf("1e-12"), prec=96):
         return rows
 
 
-def script_I(b, k, nu, n, tol, prec=None):
+def script_I(b, k, nu, n, tol, prec):
     """The Bessel-weighted main-term integral over [-1, 1].
 
     Returns the real part; raises if the imaginary residue exceeds tol
     (the integrand is conjugate-symmetric under x -> -x, so the exact value
     is real).  The integrand vanishes at the endpoints.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     b = Fraction(b)
     if b <= 0 or n < 1:
         raise ValueError("script_I needs b > 0 and n >= 1")
@@ -262,7 +252,7 @@ def _band_guard_bits(k, degree):
     return 24 + 2 * (degree + 1).bit_length() + 2 * sigma_bits
 
 
-def script_I_band(b, k, nus, n, tol, prec=None):
+def script_I_band(b, k, nus, n, tol, prec):
     """script_I(b, k, nu, n, tol, prec) for every nu in nus, in one quadrature.
 
     All nu share the nodes and panels of one quad_panels run (same rule,
@@ -292,8 +282,6 @@ def script_I_band(b, k, nus, n, tol, prec=None):
     2^-(prec+36) (I_1(c) (x1 - x0) + sum_j w_j |f(x_j)|) of the same
     Gauss-Legendre sum in exact arithmetic.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     b = Fraction(b)
     if b <= 0 or n < 1:
         raise ValueError("script_I needs b > 0 and n >= 1")
@@ -374,7 +362,7 @@ def L_closed(k, n, y, prec):
         return +val
 
 
-def L_contour(k, n, y, N, tol, prec=None):
+def L_contour(k, n, y, N, tol, prec):
     """(1/(2*pi*i)) times the rectangle integral of e^(2*pi*n*w + 2*pi*y/(k^2 w)).
 
     The rectangle has corners +-1/N^2 +- i/(k(k+N)), counterclockwise, with
@@ -385,8 +373,6 @@ def L_contour(k, n, y, N, tol, prec=None):
         raise ValueError("degenerate rectangle")
     # peak of Re(2*pi*y/(k^2 w)) on the contour is 2*pi*y*N^2/k^2 at w = 1/N^2
     peak_bits = int(2 * math.pi * float(y) * N * N / (k * k) / math.log(2)) + 16
-    if prec is None:
-        prec = mpmath.mp.prec
     work = prec + peak_bits
     with workprec(work):
         y = mpf(y)

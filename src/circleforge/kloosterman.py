@@ -38,9 +38,6 @@ __all__ = [
     "bound_ratio",
 ]
 
-_DEFAULT_PREC = 128
-
-
 @dataclass(frozen=True)
 class KloostermanSpec:
     """Identifies one sum family together with its parameters.
@@ -168,7 +165,8 @@ class SumValue:
     lists the summands as exponents t in [0, 2), meaning e^(i*pi*t), in
     residue order, and `SumValue(terms=...)` builds a sum from such a list.
     `value(prec)` evaluates at prec bits with one cos/sin per distinct
-    root and precision, shared by all sums.
+    root and precision, shared by all sums; a sum that is exactly zero
+    evaluates to exactly 0.
     """
 
     __slots__ = ("modulus", "counts", "term_count")
@@ -191,9 +189,11 @@ class SumValue:
         return tuple(Fraction(2 * r, self.modulus)
                      for r in sorted(self.counts) for _ in range(self.counts[r]))
 
-    def value(self, prec=_DEFAULT_PREC):
+    def value(self, prec):
         with mpmath.workprec(prec):
             total = mpmath.mpc(0)
+            if self.is_zero():
+                return total
             for r in sorted(self.counts):
                 g = math.gcd(2 * r, self.modulus)
                 total += self.counts[r] * _root(2 * r // g, self.modulus // g, prec)
@@ -410,7 +410,7 @@ def rewritten_classical_form(spec):
                     _exact_div(12 * k * t.numerator, t.denominator, "prefactor"))
 
 
-def bound_ratio(sum_value, k, n, prec=_DEFAULT_PREC):
+def bound_ratio(sum_value, k, n, prec):
     """|K| / (max(|n|,1)^(1/3) * k^(2/3)): growth diagnostic, not a proof."""
     with mpmath.workprec(prec):
         mag = abs(sum_value.value(prec))

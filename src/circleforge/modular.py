@@ -132,9 +132,6 @@ class RootOfUnity:
         """Evaluate at the current mpmath working precision."""
         return mpmath.expjpi(mpmath.mpf(self.exponent.numerator) / self.exponent.denominator)
 
-    def to_json_dict(self):
-        return {"num": self.exponent.numerator, "den": self.exponent.denominator}
-
 
 @lru_cache(maxsize=None)
 def omega_residue(h, k, hprime=None, branch="auto"):
@@ -193,17 +190,6 @@ class FareyArc:
     h2: int
     theta_left: Fraction  # 1/(k(k+k1)), except 1/(N+1) for the 0/1 arc
     theta_right: Fraction  # 1/(k(k+k2))
-
-    def to_json_dict(self):
-        return {
-            "h": self.h,
-            "k": self.k,
-            "N": self.N,
-            "k1": self.k1,
-            "k2": self.k2,
-            "theta_left": str(self.theta_left),
-            "theta_right": str(self.theta_right),
-        }
 
 
 def farey_neighbors(h, k, N):

@@ -19,8 +19,6 @@ __all__ = [
     "SERIES_NAMES",
     "named_series",
     "pochhammer_inf",
-    "pochhammer_fin",
-    "series_arith",
     "Overpartition",
     "all_overpartitions",
     "enumerate_p1bar",
@@ -212,21 +210,6 @@ def _decimal_string(c):
     return str(c)
 
 
-def series_arith(a, b, op, r=None):
-    """Dispatcher over the basic arithmetic on truncated series."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.inverse()
-    if op == "compose_power":
-        return a.compose_power(r)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def pochhammer_inf(sign, a, b, order):
     """(sign*q^a; q^b)_infinity = prod_{k>=0} (1 - sign*q^(a+k*b)), truncated."""
     if sign not in (1, -1):
@@ -238,23 +221,6 @@ def pochhammer_inf(sign, a, b, order):
     while e <= order:
         out = out.multiply_binomial(e, -sign)
         e += b
-    return out
-
-
-def pochhammer_fin(sign, a, b, n, order):
-    """(sign*q^a; q^b)_n, the finite product of n factors."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    if a < 1 or b < 1:
-        raise ValueError("exponents a, b must be >= 1")
-    if n < 0:
-        raise ValueError("length n must be >= 0")
-    out = TruncatedSeries.one(order)
-    for k in range(n):
-        e = a + k * b
-        if e > order:
-            break
-        out = out.multiply_binomial(e, -sign)
     return out
 
 

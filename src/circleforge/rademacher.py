@@ -47,14 +47,17 @@ class FormulaResult:
     flagged: bool
     per_k_terms: list = field(default_factory=list)
 
-    def to_json_dict(self, digits=20):
+    def to_json_dict(self, oracle):
+        """The report row of this result against the exact coefficient `oracle`."""
         return {
             "n": self.n,
-            "kmax": self.kmax,
-            "value": mpmath.nstr(self.value, digits),
+            "value": mpmath.nstr(self.value, 20, strip_zeros=False),
             "rounded": self.rounded,
-            "dist": mpmath.nstr(self.distance_to_integer, 6),
-            "tail": mpmath.nstr(self.tail_estimate, 6),
+            "oracle": oracle,
+            "match": self.rounded == oracle,
+            "dist": mpmath.nstr(self.distance_to_integer, 6, strip_zeros=False),
+            "kmax": self.kmax,
+            "tail": mpmath.nstr(self.tail_estimate, 6, strip_zeros=False),
             "flagged": self.flagged,
         }
 
@@ -132,9 +135,8 @@ def p1bar_term(d, k, n, tol, prec=None):
     with workprec(prec):
         weights = {}
         for nu in range(1, k + 1):
-            ksum = modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu))
-            if not ksum.is_zero():
-                kval = ksum.value(prec)
+            kval = modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu)).value(prec)
+            if kval != 0:
                 weights[nu] = -kval if (n + nu) % 2 else kval
         integrals = script_I_band(b, k, list(weights), n, mpf(tol) / (4 * k), prec=prec)
         total = mpmath.mpc(0)
@@ -220,24 +222,11 @@ def verify_range(n_lo, n_hi, kmax=None, tol=mpf("1e-12"), prec=None, series_orde
     max_dist = mpf(0)
     for n in range(n_lo, n_hi + 1):
         res = p1bar_exact(n, kmax=kmax, tol=tol, prec=prec)
-        oracle = g1.coefficient(n)
-        match = res.rounded == oracle
-        if not match:
+        row = res.to_json_dict(g1.coefficient(n))
+        if not row["match"]:
             mismatches += 1
         max_dist = max(max_dist, res.distance_to_integer)
-        rows.append(
-            {
-                "n": n,
-                "value": mpmath.nstr(res.value, 20),
-                "rounded": res.rounded,
-                "oracle": oracle,
-                "match": match,
-                "dist": mpmath.nstr(res.distance_to_integer, 6),
-                "kmax": res.kmax,
-                "tail": mpmath.nstr(res.tail_estimate, 6),
-                "flagged": res.flagged,
-            }
-        )
+        rows.append(row)
     return {
         "rows": rows,
         "mismatches": mismatches,

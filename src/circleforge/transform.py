@@ -99,14 +99,12 @@ def _coeffs(name, order):
     return tuple(named_series(name, order).coeffs)
 
 
-def evaluate_series(name, nome, tol, prec=None):
+def evaluate_series(name, nome, tol, prec):
     """Numerical value of a named series at |nome| < 1 with tail doubling.
 
     The truncation order doubles until two successive evaluations agree to
     tol; non-convergence within the doubling budget is an error.
     """
-    if prec is None:
-        prec = mpmath.mp.prec
     with workprec(prec + 16):
         nome = mpc(nome)
         if abs(nome) >= 1:
@@ -184,7 +182,7 @@ def _head_inverse(h, k):
     return si.hprime + L * t
 
 
-def check_law(law, h, k, z, tol=1e-10, prec=None, r=2):
+def check_law(law, h, k, z, tol=1e-10, *, prec, r=2):
     """Evaluate both sides of a transformation law and compare.
 
     For every law except Pr_law the assertion is |ratio - 1| < tol; Pr_law
@@ -194,11 +192,9 @@ def check_law(law, h, k, z, tol=1e-10, prec=None, r=2):
         raise ValueError(f"unknown law {law!r}")
     if not law_applicable(law, h, k):
         raise ValueError(f"law {law} not applicable at (h,k)=({h},{k})")
-    if prec is None:
-        prec = max(mpmath.mp.prec, 128)
-    tol = mpf(tol)
     zeta = {}
     with workprec(prec + 16):
+        tol = mpf(tol)
         z = mpc(z)
         if z.real <= 0:
             raise ValueError("need Re z > 0")

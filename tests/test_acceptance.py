@@ -163,7 +163,7 @@ def test_criterion_08_transformation_laws():
         for (h, k, z) in standard_grid(12):
             if not law_applicable(law, h, k):
                 continue
-            chk = check_law(law, h, k, z, tol=1e-10)
+            chk = check_law(law, h, k, z, tol=1e-10, prec=PREC)
             ok &= chk.passed
             worst = max(worst, abs(chk.ratio - 1))
             checked += 1
@@ -172,7 +172,7 @@ def test_criterion_08_transformation_laws():
         for (h, k, z) in standard_grid(12):
             if not law_applicable("Pr_law", h, k):
                 continue
-            chk = check_law("Pr_law", h, k, z, tol=1e-10, r=r)
+            chk = check_law("Pr_law", h, k, z, tol=1e-10, prec=PREC, r=r)
             pr_ok &= chk.passed and chk.modulus_defect < mpf("1e-10")
             checked += 1
     _report(

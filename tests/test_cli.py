@@ -72,6 +72,29 @@ def test_kloosterman_row(capsys):
     assert "bound_ratio" in rows[0]
 
 
+def test_kloosterman_zero_sum_row_reads_zero(capsys):
+    # A_30(7) is exactly zero
+    code, rows = run_cli(["kloosterman", "--family", "A", "--k", "30", "--n", "7"], capsys)
+    assert code == 0
+    assert (rows[0]["re"], rows[0]["im"], rows[0]["bound_ratio"]) == ("0.0", "0.0", 0.0)
+
+
+def test_kloosterman_precision_reaches_bound_ratio(capsys, monkeypatch):
+    import circleforge.cli as cli
+
+    precs = []
+    real_bound_ratio = cli.bound_ratio
+
+    def spy(sum_value, k, n, prec):
+        precs.append(prec)
+        return real_bound_ratio(sum_value, k, n, prec)
+
+    monkeypatch.setattr(cli, "bound_ratio", spy)
+    code, _ = run_cli(["--precision-bits", "300", "kloosterman", "--family", "A",
+                       "--k", "7", "--n", "3"], capsys)
+    assert code == 0 and precs == [300]
+
+
 def test_kloosterman_rewrite_matches_direct(capsys):
     args = ["kloosterman", "--family", "modified", "--d", "1", "--j", "2",
             "--k", "5", "--nu", "2", "--n", "3", "--m", "1"]
@@ -105,6 +128,14 @@ def test_verify_range(capsys):
     summary = rows[-1]
     assert summary["ok"] is True
     assert summary["mismatches"] == 0
+
+
+def test_verify_row_equals_exact_row(capsys):
+    assert main(["exact", "--n", "7", "--kmax", "8"]) == 0
+    exact_row = capsys.readouterr().out.splitlines()[0]
+    assert main(["verify", "--from", "7", "--to", "7", "--kmax", "8"]) == 0
+    verify_row = capsys.readouterr().out.splitlines()[0]
+    assert verify_row == exact_row
 
 
 def test_selftest_with_cache(tmp_path, capsys):

@@ -117,26 +117,6 @@ def test_quad_budget_exhaustion():
         assert err.value.subdivisions > 8
 
 
-def test_quad_list_valued_matches_scalar_calls():
-    # the Runge component forces bisection; the others would take one panel
-    comps = (
-        lambda x: mpmath.exp(-x) * mpmath.sin(3 * x),
-        lambda x: 1 / (1 + 25 * x * x),
-        lambda x: mpmath.sqrt(1 - x * x),
-    )
-    tol = mpf("1e-20")
-    with workprec(96):
-        joint = quad_finite(lambda x: [g(x) for g in comps], -1, 1, tol, prec=96)
-        single = [quad_finite(g, -1, 1, tol, prec=96) for g in comps]
-    assert isinstance(joint.value, list) and len(joint.value) == 3
-    assert len(joint.abs_error_estimate) == 3
-    assert single[0].subdivisions == 1 < single[1].subdivisions
-    # a panel is bisected when any component misses its budget
-    assert joint.subdivisions >= max(r.subdivisions for r in single)
-    for v, r in zip(joint.value, single):
-        assert abs(v - r.value) < tol
-
-
 def test_decay_gaussian():
     with workprec(96):
         r = quad_decay(lambda x: mpmath.exp(-mpmath.pi * x * x), mpmath.pi, mpf("1e-22"), prec=96)
@@ -159,7 +139,7 @@ def test_decay_even_symmetry():
 
 def test_decay_requires_positive_real_part():
     with pytest.raises(ValueError):
-        quad_decay(lambda x: mpmath.exp(-x * x), -1, mpf("1e-10"))
+        quad_decay(lambda x: mpmath.exp(-x * x), -1, mpf("1e-10"), prec=PREC)
 
 
 def test_precision_escalation():

@@ -73,9 +73,9 @@ def test_mordell_gaussian_damping():
 
 def test_mordell_domain():
     with pytest.raises(ValueError):
-        mordell_I(1, 1, mpc(-1, 1), mpf("1e-10"))
+        mordell_I(1, 1, mpc(-1, 1), mpf("1e-10"), prec=PREC)
     with pytest.raises(ValueError):
-        mordell_I(1, 1, 0, mpf("1e-10"))
+        mordell_I(1, 1, 0, mpf("1e-10"), prec=PREC)
 
 
 def test_cosh_floor_positive():
@@ -106,9 +106,9 @@ def test_Jstar_value_against_oracle():
 
 def test_Jstar_rejects_nonpositive_b():
     with pytest.raises(ValueError):
-        Jstar(Fraction(0), 1, 1, 1, mpf("1e-10"))
+        Jstar(Fraction(0), 1, 1, 1, mpf("1e-10"), prec=PREC)
     with pytest.raises(ValueError):
-        Jstar(Fraction(-1, 12), 1, 1, 1, mpf("1e-10"))
+        Jstar(Fraction(-1, 12), 1, 1, 1, mpf("1e-10"), prec=PREC)
 
 
 def test_gap_representation_matches_direct_difference():
@@ -157,9 +157,9 @@ def test_script_I_against_oracle():
 
 def test_script_I_validation():
     with pytest.raises(ValueError):
-        script_I(Fraction(-1, 12), 1, 1, 4, mpf("1e-10"))
+        script_I(Fraction(-1, 12), 1, 1, 4, mpf("1e-10"), prec=PREC)
     with pytest.raises(ValueError):
-        script_I(Fraction(5, 12), 1, 1, 0, mpf("1e-10"))
+        script_I(Fraction(5, 12), 1, 1, 0, mpf("1e-10"), prec=PREC)
 
 
 def test_script_I_band_matches_per_nu():
@@ -242,9 +242,9 @@ def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
 
 def test_script_I_band_validation():
     with pytest.raises(ValueError):
-        script_I_band(Fraction(-1, 12), 1, [1], 4, mpf("1e-10"))
+        script_I_band(Fraction(-1, 12), 1, [1], 4, mpf("1e-10"), prec=PREC)
     with pytest.raises(ValueError):
-        script_I_band(Fraction(5, 12), 1, [1], 0, mpf("1e-10"))
+        script_I_band(Fraction(5, 12), 1, [1], 0, mpf("1e-10"), prec=PREC)
 
 
 def test_L_closed_trivials():
@@ -264,7 +264,7 @@ def test_L_contour_matches_closed():
 
 def test_L_contour_degenerate():
     with pytest.raises(ValueError):
-        L_contour(1, 1, mpf(1) / 4, 0, mpf("1e-8"))
+        L_contour(1, 1, mpf(1) / 4, 0, mpf("1e-8"), prec=PREC)
 
 
 def test_mordell_params_validation():

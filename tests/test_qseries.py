@@ -12,9 +12,7 @@ from circleforge.qseries import (
     check_ramanujan_relation,
     enumerate_p1bar,
     named_series,
-    pochhammer_fin,
     pochhammer_inf,
-    series_arith,
 )
 
 
@@ -34,17 +32,6 @@ def test_compose_power():
     assert s.compose_power(2).coeffs == [1, 0, 1, 0, 0]
     with pytest.raises(ValueError):
         s.compose_power(0)
-
-
-def test_series_arith_dispatch():
-    a = TruncatedSeries([1, 2, 3])
-    b = TruncatedSeries([1, 1, 1])
-    assert series_arith(a, b, "add").coeffs == [2, 3, 4]
-    assert series_arith(a, b, "sub").coeffs == [0, 1, 2]
-    assert series_arith(b, b, "mul").coeffs == [1, 2, 3]
-    assert series_arith(b, None, "invert").coeffs == [1, -1, 0]
-    with pytest.raises(ValueError):
-        series_arith(a, b, "frobnicate")
 
 
 def test_invert_requires_unit():
@@ -68,9 +55,6 @@ def test_pochhammer_euler_pentagonal():
 def test_pochhammer_small():
     assert pochhammer_inf(-1, 1, 1, 2).coeffs == [1, 1, 1]
     assert pochhammer_inf(1, 1, 1, 0).coeffs == [1]
-    assert pochhammer_fin(1, 1, 1, 0, 4).coeffs == [1, 0, 0, 0, 0]
-    assert pochhammer_fin(-1, 1, 1, 2, 3).coeffs == [1, 1, 1, 1]
-    assert pochhammer_fin(1, 1, 2, 1, 2).coeffs == [1, -1, 0]
     with pytest.raises(ValueError):
         pochhammer_inf(2, 1, 1, 3)
     with pytest.raises(ValueError):

@@ -38,6 +38,8 @@ def test_p_rademacher_small():
         assert res.distance_to_integer < 0.25
     res = p_rademacher(100)
     assert res.rounded == 190569292 == p_series.coefficient(100)
+    # A_11(1) is exactly zero, so the last band of p(1) is exactly 0
+    assert p_rademacher(1).tail_estimate == 0
 
 
 def test_p_rademacher_validation():
@@ -171,19 +173,6 @@ def test_band_quadrature_matches_per_nu_reference(n):
     reference = _p1bar_per_nu_reference(n)
     assert abs(res.value - reference) < mpf("1e-20") * res.value
     assert res.rounded == named_series("G1", n).coefficient(n)
-
-
-def test_p1bar_exact_ignores_global_precision():
-    saved = mpmath.mp.prec
-    try:
-        mpmath.mp.prec = 53
-        low = p1bar_exact(105)
-        mpmath.mp.prec = 320
-        high = p1bar_exact(105)
-    finally:
-        mpmath.mp.prec = saved
-    assert low.value == high.value
-    assert low.rounded == high.rounded
 
 
 def test_bessel_call_count_pin(monkeypatch):

@@ -39,76 +39,76 @@ def test_evaluate_series_at_e_minus_2pi():
 
 def test_evaluate_series_domain_and_convergence():
     with pytest.raises(ValueError):
-        evaluate_series("P", 1, mpf("1e-10"))
+        evaluate_series("P", 1, mpf("1e-10"), prec=PREC)
     for name in ("f", "phi", "omega_mock"):
         v = evaluate_series(name, mpmath.exp(-mpf(1) / 2), mpf("1e-14"), prec=120)
         assert mpmath.isfinite(v)
 
 
 def test_p_law_fixed_point():
-    chk = check_law("P_law", 0, 1, 1, tol=TOL)
+    chk = check_law("P_law", 0, 1, 1, tol=TOL, prec=PREC)
     assert chk.passed
     assert abs(chk.ratio - 1) < mpf("1e-30")
 
 
 def test_p_law_points():
     for (h, k, z) in ((1, 2, mpf(4) / 5), (1, 3, 1), (2, 5, mpc("0.8", "0.2")), (5, 12, mpf(1) / 2)):
-        chk = check_law("P_law", h, k, z, tol=TOL)
+        chk = check_law("P_law", h, k, z, tol=TOL, prec=PREC)
         assert chk.passed, (h, k, z)
 
 
 def test_pr_law_quantized():
     for r in (2, 3, 4, 6):
-        chk = check_law("Pr_law", 1, 3, 1, tol=TOL, r=r)
+        chk = check_law("Pr_law", 1, 3, 1, tol=TOL, prec=PREC, r=r)
         assert chk.passed, r
         assert chk.modulus_defect < TOL
 
 
 def test_xi_laws_one_point_per_class():
-    assert check_law("xi_gcd4", 3, 4, 1, tol=TOL).passed
-    assert check_law("xi_gcd2", 5, 6, mpc("0.8", "0.2"), tol=TOL).passed
-    assert check_law("xi_gcd1", 2, 5, mpf(1) / 2, tol=TOL).passed
+    assert check_law("xi_gcd4", 3, 4, 1, tol=TOL, prec=PREC).passed
+    assert check_law("xi_gcd2", 5, 6, mpc("0.8", "0.2"), tol=TOL, prec=PREC).passed
+    assert check_law("xi_gcd1", 2, 5, mpf(1) / 2, tol=TOL, prec=PREC).passed
 
 
 def test_g2_laws_one_point_per_class():
-    assert check_law("g2_gcd4", 1, 8, 1, tol=TOL).passed
-    assert check_law("g2_gcd2", 1, 2, mpf(1) / 2, tol=TOL).passed
-    assert check_law("g2_gcd1", 2, 5, 1, tol=TOL).passed
+    assert check_law("g2_gcd4", 1, 8, 1, tol=TOL, prec=PREC).passed
+    assert check_law("g2_gcd2", 1, 2, mpf(1) / 2, tol=TOL, prec=PREC).passed
+    assert check_law("g2_gcd1", 2, 5, 1, tol=TOL, prec=PREC).passed
 
 
 def test_f_laws_one_point_per_parity():
-    assert check_law("f_even", 1, 2, 1, tol=TOL).passed
-    assert check_law("f_even", 3, 4, 1, tol=TOL).passed
-    assert check_law("f_odd", 1, 3, 1, tol=TOL).passed
-    assert check_law("f_odd", 2, 5, mpc("0.7", "0.3"), tol=TOL).passed
+    assert check_law("f_even", 1, 2, 1, tol=TOL, prec=PREC).passed
+    assert check_law("f_even", 3, 4, 1, tol=TOL, prec=PREC).passed
+    assert check_law("f_odd", 1, 3, 1, tol=TOL, prec=PREC).passed
+    assert check_law("f_odd", 2, 5, mpc("0.7", "0.3"), tol=TOL, prec=PREC).passed
 
 
 def test_zeta_defects_recorded():
     # at (2,5) the quarter-power nome deviates from the frame by -1
-    chk = check_law("g2_gcd1", 2, 5, 1, tol=TOL)
+    chk = check_law("g2_gcd1", 2, 5, 1, tol=TOL, prec=PREC)
     assert chk.passed
     assert chk.zeta_defects["nome_q4"] != 0
     # at (1,3) all printed factors coincide with the frame
-    chk = check_law("xi_gcd1", 1, 3, 1, tol=TOL)
+    chk = check_law("xi_gcd1", 1, 3, 1, tol=TOL, prec=PREC)
     assert chk.passed
     assert all(t == 0 for t in chk.zeta_defects.values())
 
 
 def test_exponential_factor_regime_small_z():
     # the growing factors e^(5pi/12kz), e^(pi/2kz) dominate at z = 1/10
-    assert check_law("xi_gcd2", 1, 2, mpf(1) / 10, tol=TOL).passed
-    assert check_law("g2_gcd2", 1, 2, mpf(1) / 10, tol=TOL).passed
+    assert check_law("xi_gcd2", 1, 2, mpf(1) / 10, tol=TOL, prec=PREC).passed
+    assert check_law("g2_gcd2", 1, 2, mpf(1) / 10, tol=TOL, prec=PREC).passed
 
 
 def test_law_applicability_errors():
     with pytest.raises(ValueError):
-        check_law("xi_gcd4", 1, 3, 1)
+        check_law("xi_gcd4", 1, 3, 1, prec=PREC)
     with pytest.raises(ValueError):
-        check_law("f_even", 1, 3, 1)
+        check_law("f_even", 1, 3, 1, prec=PREC)
     with pytest.raises(ValueError):
-        check_law("nope", 1, 3, 1)
+        check_law("nope", 1, 3, 1, prec=PREC)
     with pytest.raises(ValueError):
-        check_law("P_law", 1, 3, mpc(-1, 1))
+        check_law("P_law", 1, 3, mpc(-1, 1), prec=PREC)
 
 
 def test_standard_grid_shape():
