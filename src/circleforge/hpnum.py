@@ -39,6 +39,7 @@ __all__ = [
     "QuadratureError",
     "quad_panels",
     "quad_finite",
+    "decay_cut",
     "quad_decay",
 ]
 
@@ -141,6 +142,8 @@ class QuadratureResult:
     value: object  # mpf or mpc; a list of them from quad_panels
     abs_error_estimate: object  # mpf; a list from quad_panels
     subdivisions: int
+    # panels accepted only because they reached the width floor 2^(-prec/2)
+    unconverged: int = 0
 
 
 @lru_cache(maxsize=32)
@@ -261,10 +264,11 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
     panel_sums(x0, x1, npts) returns the npts-point Gauss-Legendre sums on
     [x0, x1], one per component.  Each panel is evaluated with n and 2n
     points; their difference is the local error estimate.  A panel is
-    accepted when every component is within its share of `tol` (or the
-    panel is narrower than 2^(-prec/2)), otherwise bisected.  Returns a
-    QuadratureResult whose value and error estimate are lists; the loop
-    runs at prec + 24 bits and the results are rounded to prec.
+    accepted when every component is within its share of `tol`, otherwise
+    bisected; a panel narrower than 2^(-prec/2) is accepted regardless and
+    counted in `unconverged`.  Returns a QuadratureResult whose value and
+    error estimate are lists; the loop runs at prec + 24 bits and the
+    results are rounded to prec.
     """
     n_lo = max(12, prec // 5)
     with workprec(prec + 24):
@@ -272,6 +276,7 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
         total = None
         err = None
         panels = 0
+        unconverged = 0
         while stack:
             x0, x1, budget = stack.pop()
             panels += 1
@@ -288,7 +293,9 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
                     [e + d for e, d in zip(err, delta)],
                     panels,
                 )
-            if all(d <= budget for d in delta) or abs(x1 - x0) < mpf(2) ** (-(prec // 2)):
+            converged = all(d <= budget for d in delta)
+            if converged or abs(x1 - x0) < mpf(2) ** (-(prec // 2)):
+                unconverged += not converged
                 total = [t + v for t, v in zip(total, fine)]
                 err = [e + d for e, d in zip(err, delta)]
             else:
@@ -296,7 +303,7 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
                 stack.append((x0, xm, budget / 2))
                 stack.append((xm, x1, budget / 2))
     with workprec(prec):
-        return QuadratureResult([+t for t in total], [+e for e in err], panels)
+        return QuadratureResult([+t for t in total], [+e for e in err], panels, unconverged)
 
 
 def quad_finite(f, a, b, tol, prec, max_panels=4096):
@@ -319,12 +326,8 @@ def quad_finite(f, a, b, tol, prec, max_panels=4096):
     return res
 
 
-def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
-    """Integral over the real line of f with |f(x)| <= envelope_max * |e^(-c x^2)|.
-
-    Truncates to [-X, X] with the Gaussian tail certified below tol/4 and
-    runs quad_finite on the rest of the budget.  Re c must be positive.
-    """
+def decay_cut(c, tol, prec, envelope_max=1):
+    """quad_decay's cut X and its certified tail bound (<= tol/4), at prec + 24 bits."""
     with workprec(prec + 24):
         c = mpc(c)
         if c.real <= 0:
@@ -343,7 +346,18 @@ def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
         while tail > tol / 4:
             X *= mpf(5) / 4
             tail = tail_bound(X)
-        inner = quad_finite(f, -X, X, tol - tail, prec=prec, max_panels=max_panels)
+        return X, tail
+
+
+def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
+    """Integral over the real line of f with |f(x)| <= envelope_max * |e^(-c x^2)|.
+
+    Truncates to [-X, X] at decay_cut, with the Gaussian tail certified
+    below tol/4, and runs quad_finite on the rest of the budget.
+    """
+    with workprec(prec + 24):
+        X, tail = decay_cut(c, tol, prec, envelope_max)
+        inner = quad_finite(f, -X, X, mpf(tol) - tail, prec=prec, max_panels=max_panels)
     with workprec(prec):
         return QuadratureResult(+inner.value, +(inner.abs_error_estimate + tail),
-                                inner.subdivisions)
+                                inner.subdivisions, inner.unconverged)

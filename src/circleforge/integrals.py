@@ -1,6 +1,8 @@
 """The analytic objects of the formula: Mordell integrals, their wrapped and
 principal-part-truncated forms, the Bessel-weighted main-term integrals, and
-the residue/contour pair for the rectangle integral.
+the residue/contour pair for the rectangle integral.  The per-nu integrals of
+one k share a band quadrature in Python-integer fixed point (mordell_band,
+script_I_band); mordell_I and script_I stay as their pointwise mpf references.
 
 Parameter b is threaded through as an exact Fraction (the values that occur
 are -1/12, 1/24 and 5/12); it only becomes a float inside sqrt(b/3) at the
@@ -15,12 +17,13 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
 from .hpnum import (
     BesselFactor,
     bessel_factor_degree,
     bessel_i1,
+    decay_cut,
     gauss_legendre_fixed,
     quad_decay,
     quad_finite,
@@ -31,6 +34,7 @@ __all__ = [
     "MordellParams",
     "cosh_path_floor",
     "mordell_I",
+    "mordell_band",
     "J",
     "Jstar",
     "J_gap",
@@ -116,6 +120,94 @@ def mordell_I(k, nu, z, tol, prec):
         res = quad_decay(integrand, c, mpf(tol), prec=prec + 16, envelope_max=1 / floor)
     with workprec(prec):
         return +res.value
+
+
+def mordell_band(k, nus, z, tol, prec):
+    """mordell_I(k, nu, z, tol, prec) for every nu in nus, in one quadrature.
+
+    All nu share quad_decay's cut [-X, X] for the smallest cosh_path_floor
+    over nus (so each nu keeps tol) and the panels of one quad_panels run
+    at prec + 16; panel sums are Python ints with F = prec + 16 + G
+    fractional bits.  With u = pi z/k and E = e^(u x), the integrand is
+    e^(-3u x^2) 2/D with D = e^(i beta_nu)/E + E/e^(i beta_nu).  Each |x|
+    costs one exp for the Gaussian and one for e^(Re(u) x), plus a cos/sin
+    for each when z is complex; each (nu, x) costs one complex multiply and
+    one division by |D|^2.
+
+    Error budget.  G = 24 + 2 ceil(log2(1/floor)) + bits(prec + 16) + 2 bits(X)
+    for the smallest floor; bits(prec + 16) covers the rule sizes.  Rounding
+    u and x moves the exponents by a few X^2 ulp, and |D| >= 2 floor keeps
+    2/D within a few X^2 ulp / floor^2; each quotient adds one ulp.  So each
+    per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the same
+    Gauss-Legendre sum in exact arithmetic.
+    """
+    for nu in nus:
+        MordellParams(k, nu).validate()
+    if not nus:
+        return []
+    quad_prec = prec + 16
+    with workprec(quad_prec):
+        z = mpc(z)
+        if z.real <= 0:
+            raise ValueError("mordell_I needs Re z > 0")
+        floor = min(cosh_path_floor(k, nu, z, prec) for nu in nus)
+        if floor < mpf(2) ** (-(prec // 2)):
+            raise ValueError("path too close to pole of the integrand")
+        X, tail = decay_cut(3 * mpmath.pi * z / k, tol, quad_prec, 1 / floor)
+    F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
+         + 2 * int(X).bit_length())
+    with workprec(F + 16):
+        u = mpmath.pi * z / k
+        ru, iu = to_fixed(u.real._mpf_, F), to_fixed(u.imag._mpf_, F)
+        trig = [(to_fixed(mpmath.cos(t)._mpf_, F), to_fixed(mpmath.sin(t)._mpf_, F))
+                for t in (mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus)]
+    one, one2 = 1 << F, 1 << (2 * F)
+
+    def fixed_exp(t):  # e^(t 2^-2F) at F bits
+        return to_fixed(mpf_exp(from_man_exp(t, -2 * F), F + 8), F)
+
+    def rotation(t):  # cos and sin of t 2^-2F at F bits; no rotation for real z
+        return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)] \
+            if iu else (one, 0)
+
+    def node(ax):
+        x2 = ax * ax >> F
+        g = fixed_exp(-3 * ru * x2)
+        e = fixed_exp(ru * ax)
+        ch, sh = e + (e_inv := one2 // e), e - e_inv
+        (gc, gs), (c, s) = rotation(-3 * iu * x2), rotation(iu * ax)
+        return g * gc >> F, g * gs >> F, ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F)
+
+    nodes = {}
+
+    def panel_sums(x0, x1, npts):
+        mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
+        rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
+        re, im = [0] * len(nus), [0] * len(nus)
+        for t, w in gauss_legendre_fixed(npts, quad_prec, F):
+            d = rad * t
+            x = mid + (d >> F if d >= 0 else -(-d >> F))
+            vals = nodes.get(abs(x))
+            if vals is None:
+                vals = nodes[abs(x)] = node(abs(x))
+            gr, gi, a1, a2, b1, b2 = vals
+            if x < 0:  # sh and sin(Im(u) x) are odd in x
+                a2, b2 = -a2, -b2
+            wr, wi = w * gr, w * gi
+            for j, (cb, sb) in enumerate(trig):
+                dr = cb * a1 + sb * a2 >> F
+                di = cb * b1 + sb * b2 >> F
+                m = dr * dr + di * di
+                re[j] += (wr * dr + wi * di) // m
+                im[j] += (wi * dr - wr * di) // m
+        # the quotients carry F fraction bits and rad adds F; the factor 2 is 2/D
+        return [mpc(mpf((2 * r * rad, -2 * F)), mpf((2 * v * rad, -2 * F)))
+                for r, v in zip(re, im)]
+
+    with workprec(quad_prec + 24):
+        res = quad_panels(panel_sums, -X, X, mpf(tol) - tail, quad_prec)
+    with workprec(prec):
+        return [+v for v in res.value]
 
 
 def J(b, k, nu, z, tol, prec):

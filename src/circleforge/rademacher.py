@@ -103,7 +103,9 @@ def p_rademacher(n, kmax=None, prec=None):
         total = mpmath.mpc(0)
         for k in range(1, kmax + 1):
             ak = A_k(k, n).value(prec)
-            term = front * ak / k * bessel_i32(mpmath.pi * root / (6 * k), prec)
+            term = front * ak / k
+            if ak != 0:
+                term *= bessel_i32(mpmath.pi * root / (6 * k), prec)
             total += term
             per_k.append((k, term))
         return _round_result(n, kmax, total, per_k, prec)

@@ -30,8 +30,9 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import to_fixed
 
-from .integrals import mordell_I
+from .integrals import mordell_band
 from .modular import omega, strengthened_inverse
 from .qseries import named_series
 
@@ -102,29 +103,45 @@ def _coeffs(name, order):
 def evaluate_series(name, nome, tol, prec):
     """Numerical value of a named series at |nome| < 1 with tail doubling.
 
-    The truncation order doubles until two successive evaluations agree to
-    tol; non-convergence within the doubling budget is an error.
+    The truncation order doubles until the terms that a doubling adds are
+    within tol * max(1, |value|); non-convergence within the doubling
+    budget is an error.  Each doubling sums only its new block of terms on
+    Python ints with F = prec + 24 + G fractional bits, G = bits(max |c_j|)
+    + bits(block length) + bits(4/(1 - |q|)): the power starts from q^lo
+    and is carried by one complex multiply per term, each truncating by at
+    most 2 ulp while older errors shrink by |q|, so the block is within
+    2^-(prec+24) of its exact value.  Fractions are scaled by their common
+    denominator.
     """
     with workprec(prec + 16):
         nome = mpc(nome)
         if abs(nome) >= 1:
             raise ValueError("series evaluation needs |nome| < 1")
         tol = mpf(tol)
-        order = _INITIAL_ORDER
-        prev = None
+        damping_bits = int(4 / (1 - abs(nome))).bit_length()
+        value = mpc(0)
+        lo, order = 0, _INITIAL_ORDER
         for _ in range(_MAX_DOUBLINGS + 1):
-            coeffs = _coeffs(name, order)
-            value = mpc(0)
-            power = mpc(1)
-            for c in coeffs:
+            coeffs = _coeffs(name, order)[lo:]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in coeffs]
+            F = (prec + 24 + max(map(abs, ints)).bit_length() + len(ints).bit_length()
+                 + damping_bits)
+            with workprec(F + 8):
+                qr, qi, pr, pi = (to_fixed(v._mpf_, F) for w in (nome, nome ** lo)
+                                  for v in (w.real, w.imag))
+            sum_re = sum_im = 0
+            for c in ints:
                 if c:
-                    value += (mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else c) * power
-                power *= nome
-            if prev is not None and abs(value - prev) <= tol * max(1, abs(value)):
+                    sum_re += c * pr
+                    sum_im += c * pi
+                pr, pi = (pr * qr - pi * qi) >> F, (pr * qi + pi * qr) >> F
+            block = mpc(mpf((sum_re // den, -F)), mpf((sum_im // den, -F)))
+            value += block
+            if lo and abs(block) <= tol * max(1, abs(value)):
                 with workprec(prec):
                     return +value
-            prev = value
-            order *= 2
+            lo, order = order + 1, 2 * order
         raise ArithmeticError(f"series {name} did not converge at |q|={float(abs(nome)):.4f}")
 
 
@@ -284,11 +301,12 @@ def check_law(law, h, k, z, tol=1e-10, *, prec, r=2):
             lhs = ev("f", q)
             w = omega(h, k, hp).to_mpc()
             mord = mpc(0)
-            for nu in range(1, k + 1):
+            nus = range(1, k + 1)
+            for nu, integral in zip(nus, mordell_band(k, nus, z, tol / (16 * k), prec=prec + 16)):
                 e = -3 * nu * nu + nu
                 phase = mpmath.expjpi(mpf(hp * e) / k)
                 sign = -1 if nu % 2 else 1
-                mord += sign * phase * mordell_I(k, nu, z, tol / (16 * k), prec=prec + 16)
+                mord += sign * phase * integral
             mord *= w * mpf(2) / k * sqz * mpmath.exp(-pi * z / (12 * k))
             if law == "f_even":
                 head = (

@@ -117,6 +117,21 @@ def test_quad_budget_exhaustion():
         assert err.value.subdivisions > 8
 
 
+def test_quad_counts_unconverged_panels():
+    # sqrt|x - a| at the irrational a = 1/sqrt(2): the kink never lands on a
+    # panel edge, and the error of the panel holding it shrinks only like
+    # h^(3/2) while its budget halves with h, so bisection reaches the width
+    # floor 2^-(prec/2) before the budget
+    with workprec(64):
+        a = 1 / mpmath.sqrt(2)
+        exact = 2 * (a ** mpf(1.5) + (1 - a) ** mpf(1.5)) / 3
+    res = quad_finite(lambda x: mpmath.sqrt(abs(x - a)), 0, 1, mpf("1e-15"), prec=64)
+    assert res.unconverged > 0
+    assert abs(res.value - exact) < mpf("1e-15")
+    smooth = quad_finite(lambda x: 1 / (1 + 25 * x * x), -1, 1, mpf("1e-20"), prec=110)
+    assert smooth.unconverged == 0
+
+
 def test_decay_gaussian():
     with workprec(96):
         r = quad_decay(lambda x: mpmath.exp(-mpmath.pi * x * x), mpmath.pi, mpf("1e-22"), prec=96)

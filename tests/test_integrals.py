@@ -25,10 +25,12 @@ from circleforge.integrals import (
     cosh_path_floor,
     lemma35_gap,
     mordell_I,
+    mordell_band,
     script_I,
     script_I_band,
     _band_guard_bits,
 )
+from circleforge.transform import standard_grid
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -76,6 +78,33 @@ def test_mordell_domain():
         mordell_I(1, 1, mpc(-1, 1), mpf("1e-10"), prec=PREC)
     with pytest.raises(ValueError):
         mordell_I(1, 1, 0, mpf("1e-10"), prec=PREC)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_mordell_band_matches_per_nu(k):
+    # the tolerance and precision check_law gives each nu at tol 1e-10, 160 bits
+    tol = mpf("1e-10") / (16 * k)
+    nus = list(range(1, k + 1))
+    for _, _, z in standard_grid(1):  # z = 1, 4/5 + i/5 and 1/2
+        band = mordell_band(k, nus, z, tol, prec=176)
+        assert len(band) == k
+        for nu, v in zip(nus, band):
+            assert abs(v - mordell_I(k, nu, z, tol, prec=176)) < tol, (k, nu, z)
+
+
+def test_mordell_band_validation():
+    tol = mpf("1e-10")
+    assert mordell_band(3, [], 1, tol, prec=110) == []
+    with pytest.raises(ValueError):
+        mordell_band(2, [1, 2], mpc(-1, 1), tol, prec=110)
+    with pytest.raises(ValueError):
+        mordell_band(2, [1, 2], 0, tol, prec=110)
+    # a path that crosses the pole lines of 1/cosh with a real part of 2^-80
+    # passes within ~2^-80 of a pole
+    with workprec(110):
+        z = mpc(mpf(2) ** -80, 1)
+    with pytest.raises(ValueError, match="pole"):
+        mordell_band(2, [1, 2], z, tol, prec=110)
 
 
 def test_cosh_floor_positive():

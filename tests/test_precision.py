@@ -12,7 +12,16 @@ from mpmath import mpc, mpf, workprec
 
 import circleforge
 from circleforge.hpnum import quad_decay, quad_finite
-from circleforge.integrals import J, J_gap, Jstar, L_contour, mordell_I, script_I, script_I_band
+from circleforge.integrals import (
+    J,
+    J_gap,
+    Jstar,
+    L_contour,
+    mordell_band,
+    mordell_I,
+    script_I,
+    script_I_band,
+)
 from circleforge.kloosterman import KloostermanSpec, modified_K
 from circleforge.rademacher import p1bar_exact
 from circleforge.transform import check_law, evaluate_series
@@ -28,6 +37,7 @@ CASES = {
     "quad_decay": lambda: quad_decay(lambda x: mpmath.exp(-x * x) / mpmath.cosh(x), 1, TOL,
                                      prec=96),
     "mordell_I": lambda: mordell_I(2, 1, mpc(HALF, HALF / 4), TOL, prec=110),
+    "mordell_band": lambda: mordell_band(5, [1, 2, 3, 4, 5], mpc(HALF, HALF / 4), TOL, prec=110),
     "J": lambda: J(B, 2, 1, HALF, TOL, prec=110),
     "Jstar": lambda: Jstar(B, 2, 1, HALF, TOL, prec=110),
     "J_gap": lambda: J_gap(B, 2, 1, HALF, TOL, prec=110),

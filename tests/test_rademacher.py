@@ -42,6 +42,24 @@ def test_p_rademacher_small():
     assert p_rademacher(1).tail_estimate == 0
 
 
+def test_p_rademacher_skips_bessel_for_zero_sums(monkeypatch):
+    # deterministic work count: A_k(500) is exactly zero for 10 of its 33 bands
+    import circleforge.rademacher as rademacher
+
+    calls = []
+    real_bessel = rademacher.bessel_i32
+
+    def counted(x, prec):
+        calls.append(x)
+        return real_bessel(x, prec)
+
+    monkeypatch.setattr(rademacher, "bessel_i32", counted)
+    res = p_rademacher(500)
+    assert res.rounded == named_series("P", 500).coefficient(500)
+    assert len(res.per_k_terms) == 33
+    assert len(calls) == 23
+
+
 def test_p_rademacher_validation():
     with pytest.raises(ValueError):
         p_rademacher(0)
@@ -199,6 +217,25 @@ def test_bessel_call_count_pin(monkeypatch):
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
     assert len(calls) == 858
     assert sum(panels) == 26
+
+
+def test_band_panels_converge_on_workload_inputs(monkeypatch):
+    # every n of the two windows of perfbench's `exact` workload: no band panel
+    # is accepted only because it reached the width floor
+    import circleforge.integrals as integrals
+
+    unconverged = []
+    real_driver = integrals.quad_panels
+
+    def recorded(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        unconverged.append(res.unconverged)
+        return res
+
+    monkeypatch.setattr(integrals, "quad_panels", recorded)
+    for n in (*range(50, 61), *range(101, 113)):
+        p1bar_exact(n)
+    assert unconverged and not any(unconverged)
 
 
 def test_kloosterman_root_evaluation_pin(monkeypatch):

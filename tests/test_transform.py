@@ -45,6 +45,80 @@ def test_evaluate_series_domain_and_convergence():
         assert mpmath.isfinite(v)
 
 
+def _direct_sum(name, nome, order, prec):
+    with workprec(prec):
+        total, power = mpc(0), mpc(1)
+        for c in named_series(name, order).coeffs:
+            total += mpf(c.numerator) / c.denominator * power
+            power *= nome
+        return total
+
+
+def _converged_direct_sum(name, nome, tol, prec):
+    """The direct sum at the order where evaluate_series's doubling rule stops."""
+    order, prev = 64, None
+    while True:
+        value = _direct_sum(name, nome, order, prec)
+        if prev is not None and abs(value - prev) <= tol * max(1, abs(value)):
+            return value
+        prev, order = value, 2 * order
+
+
+# the nomes of the k = 12, z = 1/2 grid points: |q| = e^(-pi/12) ~ 0.77
+with workprec(PREC):
+    NOMES_077 = (mpmath.exp(-mpmath.pi / 12), mpmath.exp(2j * mpmath.pi * (5 + 0.5j) / 12))
+
+
+@pytest.mark.parametrize("name", ["P", "xi", "g2", "f", "omega_mock"])
+@pytest.mark.parametrize("nome", NOMES_077, ids=["real", "complex"])
+def test_evaluate_series_matches_direct_sum(name, nome):
+    # g2's coefficients are Fractions; the integer sum scales them by 2
+    tol, prec = mpf("1e-15"), 160
+    value = evaluate_series(name, nome, tol, prec=prec)
+    direct = _converged_direct_sum(name, nome, tol, prec + 64)
+    assert abs(value - direct) < tol
+    assert abs(value - direct) < mpf(2) ** -(prec - 8) * max(1, abs(direct))
+
+
+def test_f_even_band_panel_pin(monkeypatch):
+    # deterministic work count of the Mordell band at k = 12; a later change
+    # may lower it, never raise it
+    import circleforge.integrals as integrals
+
+    panels = []
+    real_driver = integrals.quad_panels
+
+    def counted(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        panels.append(res.subdivisions)
+        return res
+
+    monkeypatch.setattr(integrals, "quad_panels", counted)
+    assert check_law("f_even", 1, 12, mpf(1) / 2, prec=160).passed
+    assert panels == [11]
+
+
+def test_mordell_band_panels_converge_on_grid(monkeypatch):
+    # every f-law point of standard_grid(12) at the 160 bits of perfbench's
+    # `laws` workload: no band panel is accepted only at the width floor
+    import circleforge.integrals as integrals
+
+    unconverged = []
+    real_driver = integrals.quad_panels
+
+    def recorded(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        unconverged.append(res.unconverged)
+        return res
+
+    monkeypatch.setattr(integrals, "quad_panels", recorded)
+    for h, k, z in standard_grid(12):
+        law = "f_even" if k % 2 == 0 else "f_odd"
+        assert check_law(law, h, k, z, tol=TOL, prec=160).passed, (law, h, k, z)
+    assert len(unconverged) == len(standard_grid(12))
+    assert not any(unconverged)
+
+
 def test_p_law_fixed_point():
     chk = check_law("P_law", 0, 1, 1, tol=TOL, prec=PREC)
     assert chk.passed
