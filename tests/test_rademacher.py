@@ -225,10 +225,10 @@ def test_band_panels_converge_on_workload_inputs(monkeypatch):
     import circleforge.integrals as integrals
 
     unconverged = []
-    real_driver = integrals.quad_panels
+    real_panels = integrals.quad_panels
 
     def recorded(*args, **kwargs):
-        res = real_driver(*args, **kwargs)
+        res = real_panels(*args, **kwargs)
         unconverged.append(res.unconverged)
         return res
 

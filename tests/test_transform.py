@@ -86,10 +86,10 @@ def test_f_even_band_panel_pin(monkeypatch):
     import circleforge.integrals as integrals
 
     panels = []
-    real_driver = integrals.quad_panels
+    real_panels = integrals.quad_panels
 
     def counted(*args, **kwargs):
-        res = real_driver(*args, **kwargs)
+        res = real_panels(*args, **kwargs)
         panels.append(res.subdivisions)
         return res
 
@@ -104,10 +104,10 @@ def test_mordell_band_panels_converge_on_grid(monkeypatch):
     import circleforge.integrals as integrals
 
     unconverged = []
-    real_driver = integrals.quad_panels
+    real_panels = integrals.quad_panels
 
     def recorded(*args, **kwargs):
-        res = real_driver(*args, **kwargs)
+        res = real_panels(*args, **kwargs)
         unconverged.append(res.unconverged)
         return res
 
