@@ -8,20 +8,17 @@ so identical invocations produce byte-identical output.  Exit codes:
 failure (a quadrature that exhausted its subdivision budget, or an
 imaginary residue above tolerance where the exact value is real).
 
-Configuration precedence: command-line flags, then the environment
-(CIRCLEFORGE_PREC, CIRCLEFORGE_CACHE), then built-in defaults.
+Working precision comes from --precision-bits, then the environment
+(CIRCLEFORGE_PREC), then each command's default.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -44,34 +41,6 @@ from .rademacher import p1bar_asymptotic, p1bar_exact, p_rademacher, verify_rang
 from .transform import check_law
 
 DEFAULT_ORACLE_CEILING = qseries.DEFAULT_ENUMERATION_CEILING
-
-
-@dataclass
-class Config:
-    precision_bits: int | None
-    default_tol: str
-    kmax: int | None
-    oracle_ceiling: int
-    cache_path: str | None
-
-    @classmethod
-    def from_args(cls, args):
-        prec = args.precision_bits
-        if prec is None and os.environ.get("CIRCLEFORGE_PREC"):
-            prec = int(os.environ["CIRCLEFORGE_PREC"])
-        if prec is not None and prec < 64:
-            raise SystemExit2("precision_bits must be >= 64")
-        cache = getattr(args, "cache", None) or os.environ.get("CIRCLEFORGE_CACHE")
-        tol = getattr(args, "tol", None) or "1e-12"
-        if _parse_real(tol) <= 0:
-            raise SystemExit2("tolerance must be positive")
-        return cls(
-            precision_bits=prec,
-            default_tol=tol,
-            kmax=getattr(args, "kmax", None),
-            oracle_ceiling=getattr(args, "ceiling", None) or DEFAULT_ORACLE_CEILING,
-            cache_path=cache,
-        )
 
 
 class SystemExit2(SystemExit):
@@ -121,87 +90,57 @@ def _parse_fraction(text):
     return Fraction(text)
 
 
-# ---------------------------------------------------------------------------
-# coefficient cache: append-only JSON lines, whole-file replace on write
-# under an exclusive lock on a sidecar file, so concurrent runs keep every row
-
-def _cache_load(path):
-    rows = []
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-    return rows
-
-def _cache_append(path, new_rows):
-    if not path or not new_rows:
-        return
-    with open(path + ".lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        rows = _cache_load(path)
-        seen = {(r["series"], r["n"]) for r in rows}
-        rows.extend(r for r in new_rows if (r["series"], r["n"]) not in seen)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            for r in rows:
-                fh.write(json.dumps(r, separators=(", ", ": ")) + "\n")
-        os.replace(tmp, path)
-
-
-def _cache_rows_for(series, coeffs_list, order):
-    return [
-        {"series": series, "n": n, "coeff": c, "order_computed": order}
-        for n, c in coeffs_list
-    ]
+def _resolve_precision(args):
+    """Fill in --precision-bits from CIRCLEFORGE_PREC, then check it and --tol."""
+    if args.precision_bits is None and os.environ.get("CIRCLEFORGE_PREC"):
+        args.precision_bits = int(os.environ["CIRCLEFORGE_PREC"])
+    if args.precision_bits is not None and args.precision_bits < 64:
+        raise SystemExit2("precision_bits must be >= 64")
+    if hasattr(args, "tol") and _parse_real(args.tol) <= 0:
+        raise SystemExit2("tolerance must be positive")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_coeffs(args, cfg):
+def cmd_coeffs(args):
     s = qseries.named_series(args.name, args.order)
     _emit(s.to_json_dict(args.name))
     return 0
 
 
-def cmd_enumerate(args, cfg):
-    count = qseries.enumerate_p1bar(args.n, ceiling=cfg.oracle_ceiling)
+def cmd_enumerate(args):
+    count = qseries.enumerate_p1bar(args.n, ceiling=args.ceiling)
     _emit({"n": args.n, "p1bar": count})
     return 0
 
 
-def cmd_exact(args, cfg):
+def cmd_exact(args):
     n = args.n
-    prec = cfg.precision_bits or default_precision(n)
-    tol = mpf(cfg.default_tol)
+    prec = args.precision_bits or default_precision(n)
+    tol = mpf(args.tol)
     with workprec(prec):
         if args.rademacher:
-            res = p_rademacher(n, kmax=cfg.kmax, prec=prec)
+            res = p_rademacher(n, kmax=args.kmax, prec=prec)
             oracle = qseries.named_series("P", n).coefficient(n)
         else:
-            res = p1bar_exact(n, kmax=cfg.kmax, tol=tol, prec=prec)
+            res = p1bar_exact(n, kmax=args.kmax, tol=tol, prec=prec)
             oracle = qseries.named_series("G1", n).coefficient(n)
     row = res.to_json_dict(oracle)
     _emit(row)
-    _cache_append(
-        cfg.cache_path,
-        _cache_rows_for("P" if args.rademacher else "G1", [(n, str(oracle))], n),
-    )
     return 0 if row["match"] else 1
 
 
-def cmd_asymptotic(args, cfg):
+def cmd_asymptotic(args):
     n = args.n
-    prec = cfg.precision_bits or default_precision(n)
+    prec = args.precision_bits or default_precision(n)
     with workprec(prec):
         val = p1bar_asymptotic(n, prec=prec)
     _emit({"n": n, "asymptotic": _nstr(val)})
     return 0
 
 
-def cmd_kloosterman(args, cfg):
+def cmd_kloosterman(args):
     k, n, m = args.k, args.n, args.m
     if args.family == "classical":
         sv = classical_K(k, n, m)
@@ -215,7 +154,7 @@ def cmd_kloosterman(args, cfg):
             ell=args.ell, N=args.N,
         )
         sv = rewritten_classical_form(spec) if args.rewrite else modified_K(spec)
-    prec = cfg.precision_bits or 128
+    prec = args.precision_bits or 128
     with workprec(prec):
         val = sv.value(prec)
     _emit({
@@ -233,10 +172,12 @@ def cmd_kloosterman(args, cfg):
     return 0
 
 
-def cmd_integral(args, cfg):
-    prec = cfg.precision_bits or 128
-    tol = mpf(cfg.default_tol)
+def cmd_integral(args):
+    prec = args.precision_bits or 128
+    tol = mpf(args.tol)
     b = _parse_fraction(args.b) if args.b else None
+    if b is None and args.which in ("J", "Jstar", "scriptI"):
+        raise ValueError(f"--which {args.which} needs --b")
     with workprec(prec):
         if args.which == "mordell":
             val = mordell_I(args.k, args.nu, _parse_complex(args.z), tol, prec=prec)
@@ -252,10 +193,13 @@ def cmd_integral(args, cfg):
             err = tol
         else:  # L
             y = _parse_fraction(args.y)
-            closed = L_closed(args.k, args.n, mpf(y.numerator) / y.denominator, prec)
-            val = L_contour(args.k, args.n, mpf(y.numerator) / y.denominator,
-                            args.N, tol, prec=prec) if args.N else closed
-            err = abs(val - closed) if args.N else mpf(0)
+            y = mpf(y.numerator) / y.denominator
+            closed = L_closed(args.k, args.n, y, prec)
+            if args.N is None:
+                val, err = closed, mpf(0)
+            else:
+                val = L_contour(args.k, args.n, y, args.N, tol, prec=prec)
+                err = abs(val - closed)
         val = mpmath.mpc(val)
     _emit({
         "which": args.which,
@@ -271,8 +215,8 @@ def cmd_integral(args, cfg):
     return 0
 
 
-def cmd_check_transform(args, cfg):
-    prec = cfg.precision_bits or 160
+def cmd_check_transform(args):
+    prec = args.precision_bits or 160
     with workprec(prec):
         chk = check_law(args.law, args.h, args.k, _parse_complex(args.z),
                         tol=_parse_real(args.tol), prec=prec, r=args.r)
@@ -280,10 +224,10 @@ def cmd_check_transform(args, cfg):
     return 0 if chk.passed else 1
 
 
-def cmd_verify(args, cfg):
-    tol = mpf(cfg.default_tol)
-    report = verify_range(args.start, args.end, kmax=cfg.kmax, tol=tol,
-                          prec=cfg.precision_bits)
+def cmd_verify(args):
+    tol = mpf(args.tol)
+    report = verify_range(args.start, args.end, kmax=args.kmax, tol=tol,
+                          prec=args.precision_bits)
     for row in report["rows"]:
         _emit(row)
     _emit({
@@ -292,15 +236,10 @@ def cmd_verify(args, cfg):
         "max_distance": report["max_distance"],
         "ok": report["ok"],
     })
-    if cfg.cache_path:
-        g1 = qseries.named_series("G1", max(args.end, 0))
-        _cache_append(cfg.cache_path, _cache_rows_for(
-            "G1", [(r["n"], str(g1.coefficient(r["n"]))) for r in report["rows"]],
-            max(args.end, 0)))
     return 0 if report["ok"] else 1
 
 
-def cmd_selftest(args, cfg):
+def cmd_selftest(args):
     failures = []
 
     def check(name, ok):
@@ -326,15 +265,6 @@ def cmd_selftest(args, cfg):
     check("kloosterman-dual-path-sample", dual)
     res = p1bar_exact(4, kmax=10)
     check("exact-formula-n4", res.rounded == 12)
-    # cache audit: sampled rows must re-derive exactly
-    if cfg.cache_path and os.path.exists(cfg.cache_path):
-        rows = _cache_load(cfg.cache_path)
-        sample = random.Random(0).sample(rows, min(len(rows), 8))
-        ok_cache = True
-        for r in sample:
-            series = qseries.named_series(r["series"], r["n"])
-            ok_cache &= str(series.coefficient(r["n"])) == r["coeff"]
-        check("cache-audit", ok_cache)
     _emit({"summary": True, "failures": failures, "ok": not failures})
     return 0 if not failures else 1
 
@@ -346,7 +276,6 @@ def build_parser():
     )
     p.add_argument("--precision-bits", type=int, default=None,
                    help="working precision in bits (>= 64); default adapts to n")
-    p.add_argument("--cache", default=None, help="coefficient cache path (JSON lines)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="exact coefficients of a named series")
@@ -356,13 +285,13 @@ def build_parser():
 
     sp = sub.add_parser("enumerate", help="brute-force lower 1-run overpartition count")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--ceiling", type=int, default=None)
+    sp.add_argument("--ceiling", type=int, default=DEFAULT_ORACLE_CEILING)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("exact", help="exact-formula evaluation with oracle comparison")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--tol", default=None)
+    sp.add_argument("--tol", default="1e-12")
     sp.add_argument("--rademacher", action="store_true",
                     help="evaluate the plain partition formula instead")
     sp.set_defaults(func=cmd_exact)
@@ -396,7 +325,7 @@ def build_parser():
     sp.add_argument("--b", default=None, help="exact rational, e.g. 5/12")
     sp.add_argument("--y", default="5/24")
     sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--tol", default=None)
+    sp.add_argument("--tol", default="1e-12")
     sp.set_defaults(func=cmd_integral)
 
     sp = sub.add_parser("check-transform", help="verify a transformation law at (h,k,z)")
@@ -412,7 +341,7 @@ def build_parser():
     sp.add_argument("--from", dest="start", type=int, required=True)
     sp.add_argument("--to", dest="end", type=int, required=True)
     sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--tol", default=None)
+    sp.add_argument("--tol", default="1e-12")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("selftest", help="run the invariant suite")
@@ -425,8 +354,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config.from_args(args)
-        return args.func(args, cfg)
+        _resolve_precision(args)
+        return args.func(args)
     except SystemExit:
         raise
     except (QuadratureError, ArithmeticError) as exc:

@@ -50,30 +50,14 @@ def default_precision(n):
 
 
 def bessel_i1(x, prec):
-    """I_1(x) for real x >= 0 by direct series summation.
+    """I_1(x) for real x >= 0 by direct series summation (bessel_i_series).
 
     All terms are positive, so the truncation error is below the first
     omitted term; summation stops when that is < 2^-prec of the partial sum.
     """
-    with workprec(prec + 16):
-        x = mpf(x)
-        if x < 0:
-            raise ValueError("bessel_i1 expects x >= 0")
-        if x == 0:
-            return mpf(0)
-        half = x / 2
-        term = half  # m = 0: (x/2) / (0! * 1!)
-        total = term
-        m = 1
-        eps = mpf(2) ** (-(prec + 8))
-        while True:
-            term = term * half * half / (m * (m + 1))
-            total += term
-            if term < eps * total:
-                break
-            m += 1
-    with workprec(prec):
-        return +total
+    if x < 0:
+        raise ValueError("bessel_i1 expects x >= 0")
+    return bessel_i_series(2, x, prec)
 
 
 def bessel_i_series(order2, x, prec):
@@ -269,6 +253,11 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
     counted in `unconverged`.  Returns a QuadratureResult whose value and
     error estimate are lists; the loop runs at prec + 24 bits and the
     results are rounded to prec.
+
+    The estimate holds only for integrands that are smooth on each panel.
+    A jump inside a panel can make both rules agree to rounding: the step
+    1[x < 1/sqrt(2)] on [0, 1] is accepted with an estimate near 1e-26 and
+    an error near 1e-4, and `unconverged` stays 0.
     """
     n_lo = max(12, prec // 5)
     with workprec(prec + 24):

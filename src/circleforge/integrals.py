@@ -12,7 +12,6 @@ working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -31,7 +30,6 @@ from .hpnum import (
 )
 
 __all__ = [
-    "MordellParams",
     "cosh_path_floor",
     "mordell_I",
     "mordell_band",
@@ -44,22 +42,6 @@ __all__ = [
     "L_closed",
     "L_contour",
 ]
-
-
-@dataclass(frozen=True)
-class MordellParams:
-    k: int
-    nu: int
-    b: Fraction | None = None
-    n: int | None = None
-
-    def validate(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        # (nu - 1/6)/k can never sit on 1/2 mod 1, so the cosh in the
-        # integrand has no zero on the real path; see cosh_path_floor.
-        if (6 * self.nu - 1 - 3 * self.k) % (6 * self.k) == 0:
-            raise ValueError("cosh argument degenerate")  # unreachable for integer nu
 
 
 def _sqrt_fraction(b, prec):
@@ -100,7 +82,8 @@ def mordell_I(k, nu, z, tol, prec):
     under x -> -x, so the value is real; the numeric imaginary part is kept
     as a sanity residue for the caller.
     """
-    MordellParams(k, nu).validate()
+    if k < 1:
+        raise ValueError("k must be positive")
     with workprec(prec + 16):
         z = mpc(z)
         if z.real <= 0:
@@ -141,8 +124,8 @@ def mordell_band(k, nus, z, tol, prec):
     per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the same
     Gauss-Legendre sum in exact arithmetic.
     """
-    for nu in nus:
-        MordellParams(k, nu).validate()
+    if k < 1:
+        raise ValueError("k must be positive")
     if not nus:
         return []
     quad_prec = prec + 16
@@ -314,7 +297,8 @@ def script_I(b, k, nu, n, tol, prec):
     b = Fraction(b)
     if b <= 0 or n < 1:
         raise ValueError("script_I needs b > 0 and n >= 1")
-    MordellParams(k, nu).validate()
+    if k < 1:
+        raise ValueError("k must be positive")
     with workprec(prec + 16):
         pi = mpmath.pi
         sq = _sqrt_fraction(b / 3, prec)
@@ -377,8 +361,8 @@ def script_I_band(b, k, nus, n, tol, prec):
     b = Fraction(b)
     if b <= 0 or n < 1:
         raise ValueError("script_I needs b > 0 and n >= 1")
-    for nu in nus:
-        MordellParams(k, nu).validate()
+    if k < 1:
+        raise ValueError("k must be positive")
     if not nus:
         return []
     quad_prec = prec + 16

@@ -62,14 +62,6 @@ class TruncatedSeries:
     def zero(cls, order):
         return cls([0] * (order + 1), order)
 
-    @classmethod
-    def monomial(cls, c, d, order):
-        """c * q^d truncated at `order`."""
-        coeffs = [0] * (order + 1)
-        if d <= order:
-            coeffs[d] = c
-        return cls(coeffs, order)
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""

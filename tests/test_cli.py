@@ -1,14 +1,12 @@
-"""Command-line interface: subcommand contracts, exit codes, deterministic
-JSON output, and the coefficient cache audit."""
+"""Command-line interface: subcommand contracts, exit codes and deterministic
+JSON output."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import circleforge
 from circleforge.cli import main
 
 
@@ -138,28 +136,6 @@ def test_verify_row_equals_exact_row(capsys):
     assert verify_row == exact_row
 
 
-def test_selftest_with_cache(tmp_path, capsys):
-    cache = tmp_path / "cache.jsonl"
-    code, _ = run_cli(["--cache", str(cache), "exact", "--n", "4"], capsys)
-    assert code == 0
-    assert cache.exists()
-    code, rows = run_cli(["--cache", str(cache), "selftest"], capsys)
-    assert code == 0
-    names = {r.get("selftest") for r in rows if "selftest" in r}
-    assert "cache-audit" in names
-    assert rows[-1]["ok"] is True
-
-
-def test_cache_appends_without_duplicates(tmp_path, capsys):
-    cache = tmp_path / "cache.jsonl"
-    run_cli(["--cache", str(cache), "exact", "--n", "4"], capsys)
-    run_cli(["--cache", str(cache), "exact", "--n", "4"], capsys)
-    lines = cache.read_text().strip().splitlines()
-    assert len(lines) == 1
-    row = json.loads(lines[0])
-    assert row == {"series": "G1", "n": 4, "coeff": "12", "order_computed": 4}
-
-
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "circleforge.cli", "no-such-command"],
@@ -168,12 +144,34 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-def test_zero_denominator_is_a_usage_error(capsys):
-    for args in (["integral", "--which", "L", "--k", "2", "--n", "3", "--y", "1/0"],
-                 ["integral", "--which", "J", "--b", "1/2", "--k", "2", "--z", "1/0"],
-                 ["exact", "--n", "4", "--tol", "1/0"]):
-        assert main(args) == 2, args
-        assert "division by zero" in capsys.readouterr().err
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["integral", "--which", "J", "--k", "2"], "needs --b", id="J-without-b"),
+    pytest.param(["integral", "--which", "Jstar", "--k", "2"], "needs --b", id="Jstar-without-b"),
+    pytest.param(["integral", "--which", "scriptI", "--k", "2", "--n", "4"], "needs --b",
+                 id="scriptI-without-b"),
+    pytest.param(["integral", "--which", "L", "--k", "2", "--n", "3", "--N", "0"],
+                 "degenerate rectangle", id="L-N-0"),
+    pytest.param(["--cache", "x", "exact", "--n", "4"], "invalid choice", id="removed-cache-flag"),
+    pytest.param(["--precision-bits", "10", "exact", "--n", "4"], "precision_bits must be >= 64",
+                 id="precision-below-64"),
+    pytest.param(["exact", "--n", "4", "--tol", "0"], "tolerance must be positive",
+                 id="exact-tol-0"),
+    pytest.param(["check-transform", "--law", "P_law", "--h", "1", "--k", "2", "--tol", "0"],
+                 "tolerance must be positive", id="check-transform-tol-0"),
+    pytest.param(["integral", "--which", "L", "--k", "2", "--n", "3", "--y", "1/0"],
+                 "division by zero", id="L-y-zero-denominator"),
+    pytest.param(["integral", "--which", "J", "--b", "1/2", "--k", "2", "--z", "1/0"],
+                 "division by zero", id="J-z-zero-denominator"),
+    pytest.param(["exact", "--n", "4", "--tol", "1/0"], "division by zero",
+                 id="exact-tol-zero-denominator"),
+])
+def test_usage_error_exits_2(args, message):
+    proc = subprocess.run([sys.executable, "-m", "circleforge.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error: " in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_env_precision_override(tmp_path, capsys, monkeypatch):
@@ -244,22 +242,3 @@ def test_verify_rows_report_flagged(capsys):
     assert [list(r)[-1] for r in rows[:-1]] == ["flagged", "flagged"]
     # n = 3 rounds correctly at distance 0.30, past the 0.25 flag threshold
     assert [r["flagged"] for r in rows[:-1]] == [True, False]
-
-
-def test_cache_concurrent_appends_keep_every_row(tmp_path):
-    # four writers append 30 distinct n each, one row per call
-    cache = tmp_path / "cache.jsonl"
-    src = os.path.dirname(os.path.dirname(circleforge.__file__))
-    script = (
-        "import sys\n"
-        "from circleforge.cli import _cache_append, _cache_rows_for\n"
-        "w, path = int(sys.argv[1]), sys.argv[2]\n"
-        "for n in range(w, 120, 4):\n"
-        "    _cache_append(path, _cache_rows_for('G1', [(n, str(n))], n))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    procs = [subprocess.Popen([sys.executable, "-c", script, str(w), str(cache)], env=env)
-             for w in range(4)]
-    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0, 0]
-    ns = [json.loads(line)["n"] for line in cache.read_text().splitlines()]
-    assert sorted(ns) == list(range(120))

@@ -21,7 +21,6 @@ from circleforge.integrals import (
     Jstar,
     L_closed,
     L_contour,
-    MordellParams,
     cosh_path_floor,
     lemma35_gap,
     mordell_I,
@@ -297,6 +296,9 @@ def test_L_contour_degenerate():
 
 
 def test_mordell_params_validation():
-    MordellParams(5, 3).validate()
-    with pytest.raises(ValueError):
-        MordellParams(0, 1).validate()
+    with pytest.raises(ValueError, match="k must be positive"):
+        mordell_I(0, 1, 1, mpf("1e-10"), prec=PREC)
+    with pytest.raises(ValueError, match="k must be positive"):
+        mordell_band(0, [1], 1, mpf("1e-10"), prec=PREC)
+    with pytest.raises(ValueError, match="k must be positive"):
+        script_I_band(Fraction(5, 12), 0, [1], 4, mpf("1e-10"), prec=PREC)
