@@ -201,12 +201,13 @@ def cmd_integral(args):
                 val = L_contour(args.k, args.n, y, args.N, tol, prec=prec)
                 err = abs(val - closed)
         val = mpmath.mpc(val)
+    # parameters the chosen integral does not take print as null
     _emit({
         "which": args.which,
-        "b": str(b) if b is not None else None,
+        "b": str(b) if b is not None and args.which not in ("mordell", "L") else None,
         "k": args.k,
-        "nu": args.nu,
-        "n": args.n,
+        "nu": args.nu if args.which != "L" else None,
+        "n": args.n if args.which in ("scriptI", "L") else None,
         "value": _nstr(val.real if val.imag == 0 else val),
         "re": _nstr(val.real),
         "im": _nstr(val.imag),

@@ -52,27 +52,25 @@ def _sqrt_fraction(b, prec):
 def cosh_path_floor(k, nu, z, prec):
     """A positive lower bound for |cosh(pi*i*(nu-1/6)/k - pi*z*x/k)| on real x.
 
-    For z real the imaginary part of the argument is constant and
-    |cosh(a+ib)| >= |cos b|; the distance of (nu-1/6)/k from 1/2 mod 1 is
-    at least 1/(6k), so the bound is uniformly positive.  For complex z the
-    imaginary part drifts; at each crossing of pi/2 mod pi the bound
-    |cosh| >= |sinh(Re)| applies, minimized over the crossings.
+    Write the argument as a + ib with beta0 = pi*(nu-1/6)/k, a = -pi*Re(z)*x/k
+    and b = beta0 - pi*Im(z)*x/k; then |cosh(a+ib)|^2 = sinh(a)^2 + cos(b)^2.
+    For z real b = beta0 stays put and the bound is |cos beta0| itself.  For
+    complex z, sinh(a)^2 >= a^2 and |cos b| >= (2/pi)|b - b_j| at the
+    nearest crossing b_j of pi/2 mod pi; minimizing the sum of squares over
+    x gives 2 Re(z) g / sqrt(pi^2 Re(z)^2 + 4 Im(z)^2), with g the distance
+    from beta0 to pi/2 + pi*Z.  That distance is at least pi/(6k), so the
+    bound is uniformly positive.
     """
     with workprec(prec):
         z = mpc(z)
         beta0 = mpmath.pi * (mpf(6 * nu - 1) / (6 * k))
         if z.imag == 0:
             return abs(mpmath.cos(beta0))
-        # crossings: beta0 - pi*Im(z)*x/k = pi/2 + j*pi  =>  x_j
-        floor = abs(mpmath.cos(beta0))  # value at x = 0 as a starting candidate
-        v = z.imag
-        u = z.real
-        # solve for a window of j around the path center
-        for j in range(-8, 9):
-            xj = (beta0 - mpmath.pi / 2 - j * mpmath.pi) * k / (mpmath.pi * v)
-            a = -mpmath.pi * u * xj / k
-            floor = min(floor, abs(mpmath.sinh(a)))
-        return floor
+        t = Fraction(6 * nu - 1, 6 * k) - Fraction(1, 2)
+        d = abs(t - round(t))
+        g = mpmath.pi * mpf(d.numerator) / d.denominator
+        u, v = z.real, z.imag
+        return 2 * u * g / mpmath.sqrt(mpmath.pi ** 2 * u * u + 4 * v * v)
 
 
 def mordell_I(k, nu, z, tol, prec):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .modular import RootOfUnity, farey_neighbors, omega_residue, strengthened_inverse
+from .modular import farey_neighbors, omega_residue, strengthened_inverse
 
 __all__ = [
     "KloostermanSpec",
@@ -330,13 +330,16 @@ def _exact_div(a, b, what):
 def _rewrite_data(spec):
     """(prefactor, n_shifted, m_shifted) for the classical form of a family.
 
+    The prefactor is a residue r mod 24k, meaning e^(i*pi*r/(12k)), like the
+    summands.
+
     The bracket inverses are pinned to the representatives that make the
     reduction exact: inverses mod 3k (or mod k when 3 does not divide k)
     for d in {1,2}, and the inverse of 8 mod k shared with the direct path.
     """
     d, j, k, nu, n, m = spec.d, spec.j, spec.k, spec.nu, spec.n, spec.m
     if d == 4:
-        pref = RootOfUnity.minus_one()
+        pref = 12 * k
         n_new = n - _exact_div(2 * k * k + 4 * k, 16, "d=4 n-shift")
         if j == 1:
             m_new = m - _exact_div(5 * k * k - 4 * k, 16, "d=4 j=1 m-shift")
@@ -344,7 +347,7 @@ def _rewrite_data(spec):
             m_new = m + _exact_div(k * k, 16, "d=4 j=2 m-shift") \
                 + _exact_div(-3 * nu * nu + nu, 2, "nu term")
         else:
-            pref = RootOfUnity.one()
+            pref = 0
             n_new = n + _exact_div(k * k, 8, "d=4 j=3 n-shift")
             m_new = m - _exact_div(k * k, 16, "d=4 j=3 m-shift")
         return pref, n_new, m_new
@@ -352,7 +355,7 @@ def _rewrite_data(spec):
         kap = k // 2
         mod = 3 * kap if kap % 3 == 0 else kap
         inv2 = pow(2, -1, mod) if mod > 1 else 0
-        pref = RootOfUnity.from_exponent(Fraction(kap - 1, 2))
+        pref = 6 * k * (kap - 1)
         c_h = _exact_div((kap * kap - 1) * (1 - 2 * inv2), 3, "d=2 h-shift")
         c_hp = _exact_div((kap * kap - 1) * (2 - inv2), 6, "d=2 h'-shift")
         n_new = n - c_h
@@ -361,7 +364,7 @@ def _rewrite_data(spec):
         elif j == 2:
             m_new = m + c_hp + _exact_div(-3 * nu * nu + nu, 2, "nu term")
         else:
-            pref = -pref
+            pref += 12 * k
             m_new = m + c_hp - _exact_div(3 * k * k - 2 * k, 8, "d=2 j=3 m-shift")
         return pref, n_new, m_new
     # d == 1
@@ -371,7 +374,7 @@ def _rewrite_data(spec):
     inv8 = pow(8, -1, k) if k > 1 else 0
     kk1 = k * k - 1
     if j in (1, 2):
-        pref = RootOfUnity.from_exponent(Fraction(k - 1, 2))
+        pref = 6 * k * (k - 1)
         d_h = _exact_div(kk1 * (8 * inv2 - 16 * inv4), 12, "d=1 h-shift")
         d_hp = _exact_div(kk1 * (2 * inv2 - inv4), 12, "d=1 h'-shift")
         n_new = n - d_h
@@ -380,7 +383,7 @@ def _rewrite_data(spec):
         else:
             m_new = d_hp + _exact_div(-3 * nu * nu + nu, 2, "nu term") + 2 * inv8 * m
     else:
-        pref = RootOfUnity.one()
+        pref = 0
         e_h = _exact_div(kk1 * (12 * inv2 - 2 - 16 * inv4), 12, "d=1 j=3 h-shift")
         e_hp = _exact_div(kk1 * (3 * inv2 - 2 - inv4), 12, "d=1 j=3 h'-shift")
         n_new = n - e_h
@@ -405,9 +408,7 @@ def rewritten_classical_form(spec):
         "incomplete" if spec.family == "modified_incomplete" else "classical",
         k, n_new, m_new, ell=spec.ell, N=spec.N,
     )
-    t = pref.exponent
-    return _collect(filtered, _classical_rows(k), -24 * n_new, 24 * m_new,
-                    _exact_div(12 * k * t.numerator, t.denominator, "prefactor"))
+    return _collect(filtered, _classical_rows(k), -24 * n_new, 24 * m_new, pref)
 
 
 def bound_ratio(sum_value, k, n, prec):

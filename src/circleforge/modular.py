@@ -1,8 +1,9 @@
 """Exact modular arithmetic: Kronecker symbol, strengthened inverses,
 the eta multiplier as an exact root of unity, and Farey dissection data.
 
-Roots of unity are stored as reduced rational exponents t meaning e^(i*pi*t),
-so every multiplier identity downstream can be tested exactly instead of in
+A root of unity is always its exponent: a Fraction t in [0, 2) meaning
+e^(i*pi*t).  Products of roots of unity are sums of exponents mod 2, so
+every multiplier identity downstream is tested exactly instead of in
 floating point.
 """
 
@@ -13,13 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 __all__ = [
     "kronecker",
     "StrengthenedInverse",
     "strengthened_inverse",
-    "RootOfUnity",
     "omega",
     "omega_residue",
     "FareyArc",
@@ -84,55 +82,6 @@ def strengthened_inverse(h, k):
     return StrengthenedInverse(h, k, hprime, L)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """e^(i*pi*t) for an exact rational t normalized into [0, 2)."""
-
-    exponent: Fraction
-
-    @classmethod
-    def from_exponent(cls, t):
-        t = Fraction(t) % 2
-        return cls(t)
-
-    @classmethod
-    def one(cls):
-        return cls(Fraction(0))
-
-    @classmethod
-    def minus_one(cls):
-        return cls(Fraction(1))
-
-    def __mul__(self, other):
-        return RootOfUnity((self.exponent + other.exponent) % 2)
-
-    def __truediv__(self, other):
-        return RootOfUnity((self.exponent - other.exponent) % 2)
-
-    def inverse(self):
-        return RootOfUnity((-self.exponent) % 2)
-
-    def conjugate(self):
-        return self.inverse()
-
-    def __pow__(self, e):
-        return RootOfUnity((self.exponent * e) % 2)
-
-    def __neg__(self):
-        return RootOfUnity((self.exponent + 1) % 2)
-
-    @property
-    def order(self):
-        """Smallest positive m with self^m == 1."""
-        t = self.exponent
-        return (2 * t.denominator) // math.gcd(2 * t.denominator, t.numerator) \
-            if t.numerator else 1
-
-    def to_mpc(self):
-        """Evaluate at the current mpmath working precision."""
-        return mpmath.expjpi(mpmath.mpf(self.exponent.numerator) / self.exponent.denominator)
-
-
 @lru_cache(maxsize=None)
 def omega_residue(h, k, hprime=None, branch="auto"):
     """omega_{h,k} as the residue r mod 24k with omega = e^(i*pi*r/(12k)).
@@ -173,8 +122,9 @@ def omega_residue(h, k, hprime=None, branch="auto"):
 
 @lru_cache(maxsize=None)
 def omega(h, k, hprime=None, branch="auto"):
-    """The eta-multiplier root of unity for the fraction h/k (see omega_residue)."""
-    return RootOfUnity(Fraction(omega_residue(h, k, hprime, branch), 12 * k))
+    """The eta multiplier for h/k as its exponent t in [0, 2), meaning
+    e^(i*pi*t) (see omega_residue)."""
+    return Fraction(omega_residue(h, k, hprime, branch), 12 * k)
 
 
 @dataclass(frozen=True)
@@ -224,15 +174,14 @@ def farey_sequence(N):
 def multiplier_identity_check(h, k):
     """Exact check of (-1)^(k/2) e^(i*pi*h'/2 (1-3k/2)) == omega_{h,k/2}^2 / omega_{h,k}^4.
 
-    Only defined in the gcd(4,k)=2 class.  Returns (holds, lhs, rhs).
+    Only defined in the gcd(4,k)=2 class.  Returns (holds, lhs, rhs), the
+    two sides as exponents in [0, 2).
     """
     if math.gcd(4, k) != 2:
         raise ValueError("identity requires gcd(4,k) = 2")
     if math.gcd(h, k) != 1:
         raise ValueError("h, k must be coprime")
     hprime = strengthened_inverse(h, k).hprime
-    lhs = RootOfUnity.from_exponent(
-        Fraction(k // 2) + Fraction(hprime * (2 - 3 * k), 4)
-    )
-    rhs = omega(h, k // 2) ** 2 / omega(h, k, hprime) ** 4
+    lhs = (Fraction(k // 2) + Fraction(hprime * (2 - 3 * k), 4)) % 2
+    rhs = (2 * omega(h, k // 2) - 4 * omega(h, k, hprime)) % 2
     return lhs == rhs, lhs, rhs

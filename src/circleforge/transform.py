@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mpc, mpf, pi, workprec
 from mpmath.libmp import to_fixed
 
 from .integrals import mordell_band
@@ -60,6 +60,23 @@ LAW_TAGS = (
 
 _INITIAL_ORDER = 64
 _MAX_DOUBLINGS = 8
+
+# The xi and g2 laws, one per gcd(4, k) class.  Each series is the eta
+# quotient P(q^2)^a / (P(q^4)^2 P(q)^c) with (a, c) from _ETA_QUOTIENT_POWERS.
+# Per law: the series, the literal multiplier arguments of the q^2 and q^4
+# factors in units of h, the divisor of the right side, and the growth
+# exponent as a function of (k, z, 1/z), None where there is none.
+_ETA_QUOTIENT_POWERS = {"xi": (4, 1), "g2": (6, 4)}
+_ETA_QUOTIENT_LAWS = {
+    "xi_gcd4": ("xi", (1, 1), 1, lambda k, z, zinv: -pi * (zinv - z) / (12 * k)),
+    "xi_gcd2": ("xi", (1, 2), 2,
+                lambda k, z, zinv: 5 * pi / (12 * k) * zinv + pi * z / (12 * k)),
+    "xi_gcd1": ("xi", (2, 4), 1,
+                lambda k, z, zinv: pi / (24 * k) * zinv + pi * z / (12 * k)),
+    "g2_gcd4": ("g2", (1, 1), 2, None),
+    "g2_gcd2": ("g2", (1, 2), 4, lambda k, z, zinv: pi / (2 * k) * zinv),
+    "g2_gcd1": ("g2", (2, 4), 1, lambda k, z, zinv: -pi / (8 * k) * zinv),
+}
 
 
 @dataclass
@@ -93,6 +110,11 @@ class LawCheck:
                 key: f"{t.numerator}/{t.denominator}" for key, t in self.zeta_defects.items()
             },
         }
+
+
+def _expjpi(t):
+    """e^(i*pi*t) for an exact exponent t at the working precision."""
+    return mpmath.expjpi(mpf(t.numerator) / t.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +194,7 @@ class _Frame:
     and weight factor (rho*z)^(1/2) e^(pi((rho z)^-1 - rho z)/(12 k_r)).
     """
 
-    def __init__(self, h, k, r, z, zinv):
+    def __init__(self, h, k, r, zinv):
         g = math.gcd(r, k)
         self.rho = r // g
         self.kr = k // g
@@ -182,7 +204,7 @@ class _Frame:
         self.nome_arg = (self.aprime + 1j * zinv / self.rho) / self.kr
 
     def nome(self):
-        return mpmath.exp(2j * mpmath.pi * self.nome_arg)
+        return mpmath.exp(2j * pi * self.nome_arg)
 
 
 def _head_inverse(h, k):
@@ -209,6 +231,8 @@ def check_law(law, h, k, z, tol=1e-10, *, prec, r=2):
         raise ValueError(f"unknown law {law!r}")
     if not law_applicable(law, h, k):
         raise ValueError(f"law {law} not applicable at (h,k)=({h},{k})")
+    if r < 1:
+        raise ValueError(f"need r >= 1 for the factor P(q^r), got r={r}")
     zeta = {}
     with workprec(prec + 16):
         tol = mpf(tol)
@@ -217,89 +241,52 @@ def check_law(law, h, k, z, tol=1e-10, *, prec, r=2):
             raise ValueError("need Re z > 0")
         zinv = 1 / z
         hp = strengthened_inverse(h, k).hprime
-        q = mpmath.exp(2j * mpmath.pi * (h + 1j * z) / k)
-        q1 = mpmath.exp(2j * mpmath.pi * (hp + 1j * zinv) / k)
+        q = mpmath.exp(2j * pi * (h + 1j * z) / k)
+        q1 = mpmath.exp(2j * pi * (hp + 1j * zinv) / k)
         ev = lambda name, nome: evaluate_series(name, nome, tol / 64, prec=prec + 16)
-        pi = mpmath.pi
         sqz = mpmath.sqrt(z)
 
-        def frames(*rs):
-            return [_Frame(h, k, rr, z, zinv) for rr in rs]
-
-        def record_zetas(fs, names):
-            # deviation of the customary nome q1^(g_r/rho_r) from the frame
-            # nome, and of the literal-argument multiplier from the frame one
-            for f, (name, lit_arg) in zip(fs, names):
-                t_nome = (
-                    Fraction(2 * f.aprime, f.kr) - Fraction(2 * hp, f.rho * f.kr)
-                ) % 2
-                zeta[f"nome_{name}"] = t_nome
-                lit = omega(lit_arg, f.kr)
-                zeta[f"mult_{name}"] = (lit.exponent - f.omega.exponent) % 2
+        def nome_defect(f):
+            # deviation of the customary nome q1^(g_r/rho_r) from the frame nome
+            return (Fraction(2 * f.aprime, f.kr) - Fraction(2 * hp, f.rho * f.kr)) % 2
 
         if law == "P_law":
             lhs = ev("P", q)
-            rhs = omega(h, k, hp).to_mpc() * sqz * mpmath.exp(pi * (zinv - z) / (12 * k)) * ev("P", q1)
+            rhs = _expjpi(omega(h, k, hp)) * sqz * mpmath.exp(pi * (zinv - z) / (12 * k)) * ev("P", q1)
         elif law == "Pr_law":
             # The transformed argument is zeta * q1^(g/rho) for a root of
             # unity zeta the source display leaves undetermined; the frame
             # pins it exactly, and the check records it as the quantized
             # phase instead of assuming zeta = 1.
-            fr = _Frame(h, k, r, z, zinv)
-            zeta["nome_qr"] = (
-                Fraction(2 * fr.aprime, fr.kr) - Fraction(2 * hp, fr.rho * fr.kr)
-            ) % 2
+            fr = _Frame(h, k, r, zinv)
+            zeta["nome_qr"] = nome_defect(fr)
             lhs = ev("P", mpmath.exp(2j * pi * r * (h + 1j * z) / k))
             rhs = (
-                fr.omega.to_mpc()
+                _expjpi(fr.omega)
                 * mpmath.sqrt(fr.rho * z)
                 * mpmath.exp(pi / (12 * fr.kr) * (zinv / fr.rho - fr.rho * z))
                 * ev("P", fr.nome())
             )
-        elif law in ("xi_gcd4", "g2_gcd4"):
-            f2, f4 = frames(2, 4)
-            record_zetas((f2, f4), (("q2", h), ("q4", h)))
-            if law == "xi_gcd4":
-                mult = f2.omega ** 4 / (omega(h, k, hp) * f4.omega ** 2)
-                lhs = ev("xi", q)
-                rhs = mult.to_mpc() * sqz * mpmath.exp(-pi * (zinv - z) / (12 * k)) \
-                    * ev("P", f2.nome()) ** 4 / (ev("P", f4.nome()) ** 2 * ev("P", q1))
-            else:
-                mult = f2.omega ** 6 / (omega(h, k, hp) ** 4 * f4.omega ** 2)
-                lhs = ev("g2", q)
-                rhs = mult.to_mpc() / 2 \
-                    * ev("P", f2.nome()) ** 6 / (ev("P", f4.nome()) ** 2 * ev("P", q1) ** 4)
-        elif law in ("xi_gcd2", "g2_gcd2"):
-            f2, f4 = frames(2, 4)
-            record_zetas((f2, f4), (("q2", h), ("q4", 2 * h)))
-            if law == "xi_gcd2":
-                mult = f2.omega ** 4 / (omega(h, k, hp) * f4.omega ** 2)
-                lhs = ev("xi", q)
-                rhs = mult.to_mpc() / 2 * sqz \
-                    * mpmath.exp(5 * pi / (12 * k) * zinv + pi * z / (12 * k)) \
-                    * ev("P", f2.nome()) ** 4 / (ev("P", f4.nome()) ** 2 * ev("P", q1))
-            else:
-                mult = f2.omega ** 6 / (omega(h, k, hp) ** 4 * f4.omega ** 2)
-                lhs = ev("g2", q)
-                rhs = mult.to_mpc() / 4 * mpmath.exp(pi / (2 * k) * zinv) \
-                    * ev("P", f2.nome()) ** 6 / (ev("P", f4.nome()) ** 2 * ev("P", q1) ** 4)
-        elif law in ("xi_gcd1", "g2_gcd1"):
-            f2, f4 = frames(2, 4)
-            record_zetas((f2, f4), (("q2", 2 * h), ("q4", 4 * h)))
-            if law == "xi_gcd1":
-                mult = f2.omega ** 4 / (omega(h, k, hp) * f4.omega ** 2)
-                lhs = ev("xi", q)
-                rhs = mult.to_mpc() * sqz \
-                    * mpmath.exp(pi / (24 * k) * zinv + pi * z / (12 * k)) \
-                    * ev("P", f2.nome()) ** 4 / (ev("P", q1) * ev("P", f4.nome()) ** 2)
-            else:
-                mult = f2.omega ** 6 / (omega(h, k, hp) ** 4 * f4.omega ** 2)
-                lhs = ev("g2", q)
-                rhs = mult.to_mpc() * mpmath.exp(-pi / (8 * k) * zinv) \
-                    * ev("P", f2.nome()) ** 6 / (ev("P", q1) ** 4 * ev("P", f4.nome()) ** 2)
+        elif law in _ETA_QUOTIENT_LAWS:
+            name, lit_args, div, growth = _ETA_QUOTIENT_LAWS[law]
+            a, c = _ETA_QUOTIENT_POWERS[name]
+            f2, f4 = _Frame(h, k, 2, zinv), _Frame(h, k, 4, zinv)
+            # the one-line form's nomes and literal-argument multipliers
+            # against the frame ones
+            for f, tag, lit in zip((f2, f4), ("q2", "q4"), lit_args):
+                zeta[f"nome_{tag}"] = nome_defect(f)
+                zeta[f"mult_{tag}"] = (omega(lit * h, f.kr) - f.omega) % 2
+            mult = (a * f2.omega - 2 * f4.omega - c * omega(h, k, hp)) % 2
+            lhs = ev(name, q)
+            rhs = _expjpi(mult) / div
+            if name == "xi":  # weight 1/2; g2 has weight 0
+                rhs *= sqz
+            if growth is not None:
+                rhs *= mpmath.exp(growth(k, z, zinv))
+            rhs = rhs * ev("P", f2.nome()) ** a / (ev("P", f4.nome()) ** 2 * ev("P", q1) ** c)
         elif law in ("f_even", "f_odd"):
             lhs = ev("f", q)
-            w = omega(h, k, hp).to_mpc()
+            w = _expjpi(omega(h, k, hp))
             mord = mpc(0)
             nus = range(1, k + 1)
             for nu, integral in zip(nus, mordell_band(k, nus, z, tol / (16 * k), prec=prec + 16)):
@@ -332,9 +319,7 @@ def check_law(law, h, k, z, tol=1e-10, *, prec, r=2):
         phase = mpmath.arg(ratio)
         if law == "Pr_law":
             # the recorded zeta must sit on the pi/(12 k k_r rho_r) lattice
-            g = math.gcd(r, k)
-            rho, kr = r // g, k // g
-            steps = zeta["nome_qr"] * 12 * k * kr * rho
+            steps = zeta["nome_qr"] * 12 * k * fr.kr * fr.rho
             passed = bool(modulus_defect < tol and steps.denominator == 1)
         else:
             passed = bool(abs(ratio - 1) < tol)

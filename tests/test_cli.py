@@ -111,6 +111,21 @@ def test_integral_scriptI(capsys):
     assert float(rows[0]["re"]) == pytest.approx(124.96062323, rel=1e-8)
 
 
+@pytest.mark.parametrize("which, extra, b, nu, n", [
+    pytest.param("mordell", ["--b", "5/12"], None, 2, None, id="mordell"),
+    pytest.param("J", ["--b", "5/12", "--z", "1/2"], "5/12", 2, None, id="J"),
+    pytest.param("Jstar", ["--b", "5/12", "--z", "1/2"], "5/12", 2, None, id="Jstar"),
+    pytest.param("scriptI", ["--b", "5/12"], "5/12", 2, 4, id="scriptI"),
+    pytest.param("L", ["--b", "5/12", "--y", "1/4"], None, None, 4, id="L"),
+])
+def test_integral_row_nulls_unused_parameters(capsys, which, extra, b, nu, n):
+    code, rows = run_cli(["integral", "--which", which, "--k", "3", "--nu", "2", "--n", "4",
+                          "--tol", "1e-8", *extra], capsys)
+    assert code == 0
+    assert list(rows[0])[:5] == ["which", "b", "k", "nu", "n"]
+    assert (rows[0]["b"], rows[0]["k"], rows[0]["nu"], rows[0]["n"]) == (b, 3, nu, n)
+
+
 def test_check_transform(capsys):
     code, rows = run_cli(
         ["check-transform", "--law", "P_law", "--h", "1", "--k", "2", "--z", "0.8,0.2"],
@@ -164,6 +179,10 @@ def test_usage_error_exit_code():
                  "division by zero", id="J-z-zero-denominator"),
     pytest.param(["exact", "--n", "4", "--tol", "1/0"], "division by zero",
                  id="exact-tol-zero-denominator"),
+    pytest.param(["check-transform", "--law", "Pr_law", "--h", "1", "--k", "2", "--r", "0"],
+                 "r=0", id="Pr_law-r-0"),
+    pytest.param(["check-transform", "--law", "Pr_law", "--h", "1", "--k", "2", "--r", "-2"],
+                 "r=-2", id="Pr_law-r-negative"),
 ])
 def test_usage_error_exits_2(args, message):
     proc = subprocess.run([sys.executable, "-m", "circleforge.cli", *args],

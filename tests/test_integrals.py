@@ -1,6 +1,8 @@
 """Mordell-type integrals against independent quadrature oracles, the
 cancellation-free gap representation, and the residue/contour identity."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import mpmath
@@ -111,6 +113,38 @@ def test_cosh_floor_positive():
         with workprec(80):
             assert cosh_path_floor(k, nu, mpf(1), 80) > 0
             assert cosh_path_floor(k, nu, mpc(1, mpf(1) / 3), 80) > 0
+
+
+def _scanned_cosh_min(k, nu, z):
+    """min over real x of |cosh(i beta0 - pi z x/k)|: a 4001-point grid over
+    the x where |sinh(Re)| <= sinh(4), then a ternary search in every grid
+    local minimum."""
+    beta0 = math.pi * (6 * nu - 1) / (6 * k)
+
+    def f(x):
+        return abs(cmath.cosh(1j * beta0 - math.pi * z * x / k))
+
+    half = 4 * k / (math.pi * z.real)
+    xs = [-half + 2 * half * i / 4000 for i in range(4001)]
+    vals = [f(x) for x in xs]
+    best = min(vals)
+    for i in range(1, 4000):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+            lo, hi = xs[i - 1], xs[i + 1]
+            for _ in range(60):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                lo, hi = (lo, m2) if f(m1) < f(m2) else (m1, hi)
+            best = min(best, f((lo + hi) / 2))
+    return best
+
+
+@pytest.mark.parametrize("z", [0.8 + 0.2j, 0.5 + 0.5j, 1 + 1j, 0.25 + 1j, 1 + 0.05j, 0.6 - 0.4j])
+def test_cosh_floor_is_a_tight_lower_bound_for_complex_z(z):
+    for k in range(1, 13):
+        for nu in range(1, k + 1):
+            floor = float(cosh_path_floor(k, nu, mpc(z.real, z.imag), 64))
+            scanned = _scanned_cosh_min(k, nu, z)
+            assert floor <= scanned <= 2 * floor, (k, nu, z, floor, scanned)
 
 
 def test_J_at_b_zero_is_z_times_I():
