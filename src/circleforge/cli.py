@@ -178,27 +178,28 @@ def cmd_integral(args):
     b = _parse_fraction(args.b) if args.b else None
     if b is None and args.which in ("J", "Jstar", "scriptI"):
         raise ValueError(f"--which {args.which} needs --b")
+    z = _parse_complex(args.z) if args.which in ("mordell", "J", "Jstar") else None
+    y = _parse_fraction(args.y) if args.which == "L" else None
     with workprec(prec):
         if args.which == "mordell":
-            val = mordell_I(args.k, args.nu, _parse_complex(args.z), tol, prec=prec)
+            val = mordell_I(args.k, args.nu, z, tol, prec=prec)
             err = tol
         elif args.which == "J":
-            val = J(b, args.k, args.nu, _parse_complex(args.z), tol, prec=prec)
+            val = J(b, args.k, args.nu, z, tol, prec=prec)
             err = tol
         elif args.which == "Jstar":
-            val = Jstar(b, args.k, args.nu, _parse_complex(args.z), tol, prec=prec)
+            val = Jstar(b, args.k, args.nu, z, tol, prec=prec)
             err = tol
         elif args.which == "scriptI":
             val = script_I(b, args.k, args.nu, args.n, tol, prec=prec)
             err = tol
         else:  # L
-            y = _parse_fraction(args.y)
-            y = mpf(y.numerator) / y.denominator
-            closed = L_closed(args.k, args.n, y, prec)
+            y_mpf = mpf(y.numerator) / y.denominator
+            closed = L_closed(args.k, args.n, y_mpf, prec)
             if args.N is None:
                 val, err = closed, mpf(0)
             else:
-                val = L_contour(args.k, args.n, y, args.N, tol, prec=prec)
+                val = L_contour(args.k, args.n, y_mpf, args.N, tol, prec=prec)
                 err = abs(val - closed)
         val = mpmath.mpc(val)
     # parameters the chosen integral does not take print as null
@@ -212,6 +213,9 @@ def cmd_integral(args):
         "re": _nstr(val.real),
         "im": _nstr(val.imag),
         "err": _nstr(mpf(err), 4),
+        "z": mpmath.nstr(z, 12) if z is not None else None,
+        "y": str(y) if y is not None else None,
+        "N": args.N if args.which == "L" else None,
     })
     return 0
 

@@ -11,7 +11,7 @@ value.  The driver takes the panel sums as a function, one sum per
 component, and accepts a panel only when every component meets its budget.
 `quad_finite` supplies one scalar sum pointwise in mpf/mpc.  The p1bar
 band integrals supply one sum per nu in Python-integer fixed point, from
-`gauss_legendre_fixed` (the same nodes as ints) and `BesselFactor`
+`gauss_legendre_fixed` (the rule built on ints) and `BesselFactor`
 (sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by Horner's rule);
 `bessel_i1` stays the mpf reference for that polynomial.
 """
@@ -132,10 +132,16 @@ class QuadratureResult:
 
 @lru_cache(maxsize=32)
 def _gauss_legendre_nodes(npts, prec):
-    """Nodes/weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Nodes/weights of the n-point Gauss-Legendre rule on [-1, 1], in mpf.
 
     Roots of P_n by Newton iteration from Chebyshev initial guesses; the
-    rule integrates polynomials of degree 2n-1 exactly.
+    rule integrates polynomials of degree 2n-1 exactly.  The nodes are
+    good to the prec + 32 bits returned, but each weight takes P_n' at the
+    iterate before the last Newton step, which may still be 2^-(prec+16)
+    from the root, so a weight carries only about prec + 14 correct bits.
+    Only `quad_finite` and the tests (as the reference for
+    gauss_legendre_fixed at 40 more bits) use it; its bits are frozen on
+    purpose, since changing them would move every quad_finite result.
     """
     with workprec(prec + 32):
         nodes = []
@@ -164,16 +170,70 @@ def _gauss_legendre_nodes(npts, prec):
         return tuple((+x, +w) for (x, w) in out)
 
 
-@lru_cache(maxsize=128)
-def gauss_legendre_fixed(npts, prec, frac_bits):
-    """_gauss_legendre_nodes(npts, prec) as ints scaled by 2^frac_bits.
+def _newton_step(npts, x, p):
+    """The Newton step P_n(x)/P_n'(x) and the P_n(x), P_(n-1)(x) it used.
 
-    Conversion truncates toward zero, so the table stays exactly symmetric.
+    x and all three results are ints scaled by 2^p.  The three-term
+    recurrence gives P_n and P_(n-1), and P_n' = n (x P_n - P_(n-1)) / (x^2 - 1).
     """
-    return tuple(
-        (to_fixed(x._mpf_, frac_bits), to_fixed(w._mpf_, frac_bits))
-        for x, w in _gauss_legendre_nodes(npts, prec)
-    )
+    p0, p1 = 1 << p, x
+    for j in range(2, npts + 1):
+        p0, p1 = p1, (((2 * j - 1) * x * p1 >> p) - (j - 1) * p0) // j
+    return p1 * (x * x - (1 << 2 * p)) // (npts * (x * p1 - (p0 << p))), p1, p0
+
+
+@lru_cache(maxsize=128)
+def gauss_legendre_fixed(npts, frac_bits):
+    """The npts-point Gauss-Legendre rule on [-1, 1] as ints scaled by 2^frac_bits.
+
+    Built on Python ints throughout, as Johansson (arXiv:1205.5991, sec. 3)
+    does for p(n).  Each positive root of P_n starts from
+    cos(pi (i - 1/4) / (n + 1/2)), refined by float64 Newton steps; Newton
+    on the recurrence then runs in fixed point, doubling the precision each
+    step up to W = frac_bits + 2 bits(n) + 16.  One more recurrence at W
+    must move the root by at most 2^-(frac_bits+8), else ArithmeticError;
+    its P_n and P_(n-1) give the weight 2/((1 - x^2) P_n'(x)^2) at that
+    final node.  Nodes and weights are truncated toward zero from W bits,
+    so each is within 1 ulp of the exact rule at frac_bits.  Only the
+    nonnegative half is computed (the middle node is 0 for odd n), so the
+    table is exactly antisymmetric in x and symmetric in w.
+    """
+    guard = 2 * npts.bit_length() + 8
+    W = frac_bits + guard + 8
+    precs = [W]  # each Newton step roughly doubles the correct bits
+    while precs[-1] > 2 * guard + 40:
+        precs.append(precs[-1] // 2 + guard)
+    precs.reverse()
+    half = []
+    for i in range(1, npts // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (npts + 0.5))
+        for _ in range(10):
+            p0, p1 = 1.0, x
+            for j in range(2, npts + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dx = p1 * (x * x - 1) / (npts * (x * p1 - p0))
+            x -= dx
+            if abs(dx) < 1e-12:
+                break
+        p = precs[0]
+        x = int(math.ldexp(x, p))
+        for q in precs:
+            x <<= q - p
+            p = q
+            x -= _newton_step(npts, x, p)[0]
+        half.append(x)
+    if npts % 2:
+        half.append(0)
+    table = []
+    for i, x in enumerate(half, 1):
+        dx, pn, pm = _newton_step(npts, x, W)
+        if abs(dx) > 1 << guard:  # 2^-(frac_bits+8)
+            raise ArithmeticError(f"root {i} of the {npts}-point Gauss-Legendre rule did not converge")
+        q = x * pn - (pm << W)
+        w = (((1 << 2 * W) - x * x) << (2 * W + frac_bits + 1)) // (npts * npts * q * q)
+        table.append((x >> (W - frac_bits), w))
+    pos, mid = table[:npts // 2], table[npts // 2:]
+    return tuple([(-x, w) for x, w in pos] + mid + pos[::-1])
 
 
 def bessel_factor_degree(c, prec):

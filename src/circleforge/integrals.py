@@ -119,8 +119,12 @@ def mordell_band(k, nus, z, tol, prec):
     for the smallest floor; bits(prec + 16) covers the rule sizes.  Rounding
     u and x moves the exponents by a few X^2 ulp, and |D| >= 2 floor keeps
     2/D within a few X^2 ulp / floor^2; each quotient adds one ulp.  So each
-    per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the same
-    Gauss-Legendre sum in exact arithmetic.
+    per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the Gauss-Legendre
+    sum in exact arithmetic at the computed nodes and weights.  Those come
+    from gauss_legendre_fixed, within 1 ulp (2^-F) of the exact rule, and
+    mid + rad t truncates once more, so each node is within (1 + rad) ulp;
+    with sum w_j = 2 the rule adds at most
+    rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel, rad = (x1 - x0)/2.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -165,7 +169,7 @@ def mordell_band(k, nus, z, tol, prec):
         mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
         rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
         re, im = [0] * len(nus), [0] * len(nus)
-        for t, w in gauss_legendre_fixed(npts, quad_prec, F):
+        for t, w in gauss_legendre_fixed(npts, F):
             d = rad * t
             x = mid + (d >> F if d >= 0 else -(-d >> F))
             vals = nodes.get(abs(x))
@@ -353,8 +357,12 @@ def script_I_band(b, k, nus, n, tol, prec):
     u, i.e. a few u / sigma^2 relative.  To first order in u every node
     value f(x) is therefore within 2^-(prec+36) (I_1(c) + |f(x)|) of the
     exact integrand at the computed node, and each per-nu panel sum within
-    2^-(prec+36) (I_1(c) (x1 - x0) + sum_j w_j |f(x_j)|) of the same
-    Gauss-Legendre sum in exact arithmetic.
+    2^-(prec+36) (I_1(c) (x1 - x0) + sum_j w_j |f(x_j)|) of the
+    Gauss-Legendre sum in exact arithmetic at the computed nodes and
+    weights.  gauss_legendre_fixed holds those within 1 ulp u of the exact
+    rule, and mid + rad t truncates once more, so each node is within
+    (1 + rad) u; with sum w_j = 2 the rule adds at most
+    rad u (npts max|f| + 2 (1 + rad) max|f'|) per panel, rad = (x1 - x0)/2.
     """
     b = Fraction(b)
     if b <= 0 or n < 1:
@@ -387,7 +395,7 @@ def script_I_band(b, k, nus, n, tol, prec):
         rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
         re = [0] * len(nus)
         im = [0] * len(nus)
-        for t, w in gauss_legendre_fixed(npts, quad_prec, F):
+        for t, w in gauss_legendre_fixed(npts, F):
             d = rad * t
             # truncate toward zero, so mirrored nodes are exact negatives
             # and share the |x| memo

@@ -97,19 +97,32 @@ class LawCheck:
     zeta_defects: dict = field(default_factory=dict)
 
     def to_json_dict(self):
+        # ratio and phase print 4 decimals past the leading digit of tol, so
+        # rounding noise far below tol prints as 0
+        places = 4 - math.floor(math.log10(self.tol))
+        ratio = mpc(self.ratio)
+        re, im = _decimals(ratio.real, places), _decimals(ratio.imag, places)
         return {
             "law": self.law,
             "h": self.h,
             "k": self.k,
             "z": mpmath.nstr(self.z, 12),
-            "ratio": mpmath.nstr(self.ratio, 16),
+            "ratio": f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)",
             "modulus_defect": mpmath.nstr(self.modulus_defect, 4),
-            "phase": mpmath.nstr(self.phase, 10),
+            "phase": _decimals(self.phase, places),
             "passed": self.passed,
             "zeta_defects": {
                 key: f"{t.numerator}/{t.denominator}" for key, t in self.zeta_defects.items()
             },
         }
+
+
+def _decimals(x, places):
+    """Real x rounded to `places` digits after the decimal point."""
+    with workprec(max(0, mpmath.mag(x) if x else 0) + 4 * places + 32):
+        m = int(mpmath.nint(x * mpf(10) ** places))
+    digits = str(abs(m)).rjust(places + 1, "0")
+    return f"{'-' if m < 0 else ''}{digits[:-places]}.{digits[-places:]}"
 
 
 def _expjpi(t):

@@ -111,19 +111,26 @@ def test_integral_scriptI(capsys):
     assert float(rows[0]["re"]) == pytest.approx(124.96062323, rel=1e-8)
 
 
-@pytest.mark.parametrize("which, extra, b, nu, n", [
-    pytest.param("mordell", ["--b", "5/12"], None, 2, None, id="mordell"),
-    pytest.param("J", ["--b", "5/12", "--z", "1/2"], "5/12", 2, None, id="J"),
-    pytest.param("Jstar", ["--b", "5/12", "--z", "1/2"], "5/12", 2, None, id="Jstar"),
-    pytest.param("scriptI", ["--b", "5/12"], "5/12", 2, 4, id="scriptI"),
-    pytest.param("L", ["--b", "5/12", "--y", "1/4"], None, None, 4, id="L"),
+@pytest.mark.parametrize("which, extra, b, nu, n, z, y, N", [
+    pytest.param("mordell", ["--b", "5/12"], None, 2, None, "(1.0 + 0.0j)", None, None,
+                 id="mordell"),
+    pytest.param("J", ["--b", "5/12", "--z", "1/2"], "5/12", 2, None, "(0.5 + 0.0j)", None, None,
+                 id="J"),
+    pytest.param("Jstar", ["--b", "5/12", "--z", "0.8,0.2"], "5/12", 2, None, "(0.8 + 0.2j)",
+                 None, None, id="Jstar"),
+    pytest.param("scriptI", ["--b", "5/12", "--z", "1/2"], "5/12", 2, 4, None, None, None,
+                 id="scriptI"),
+    pytest.param("L", ["--b", "5/12", "--y", "1/4"], None, None, 4, None, "1/4", None, id="L"),
+    pytest.param("L", ["--y", "1/4", "--N", "8"], None, None, 4, None, "1/4", 8, id="L-contour"),
 ])
-def test_integral_row_nulls_unused_parameters(capsys, which, extra, b, nu, n):
+def test_integral_row_nulls_unused_parameters(capsys, which, extra, b, nu, n, z, y, N):
     code, rows = run_cli(["integral", "--which", which, "--k", "3", "--nu", "2", "--n", "4",
                           "--tol", "1e-8", *extra], capsys)
     assert code == 0
     assert list(rows[0])[:5] == ["which", "b", "k", "nu", "n"]
+    assert list(rows[0])[-3:] == ["z", "y", "N"]
     assert (rows[0]["b"], rows[0]["k"], rows[0]["nu"], rows[0]["n"]) == (b, 3, nu, n)
+    assert (rows[0]["z"], rows[0]["y"], rows[0]["N"]) == (z, y, N)
 
 
 def test_check_transform(capsys):

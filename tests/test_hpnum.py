@@ -1,16 +1,20 @@
 """Bessel kernels against independent series/library oracles and the
-certified quadrature on known integrals."""
+certified quadrature on known integrals; the fixed-point Gauss-Legendre
+tables against the mpf rule."""
 
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
+from circleforge import hpnum
 from circleforge.hpnum import (
     QuadratureError,
+    _gauss_legendre_nodes,
     bessel_i1,
     bessel_i32,
     bessel_i_series,
     default_precision,
+    gauss_legendre_fixed,
     quad_decay,
     quad_finite,
 )
@@ -163,3 +167,48 @@ def test_precision_escalation():
         b = bessel_i1(mpf("2.7"), P + 64)
         with workprec(P + 80):
             assert abs(a - b) < abs(b) * mpf(2) ** (-P + 4)
+
+
+# every (npts, frac_bits) of the band kernels on the `exact` benchmark windows
+# (p1bar_exact(n), n in 50..60 and 101..112) and on the f-law points of the
+# `laws` benchmark, plus an odd rule
+FIXED_RULES = [
+    (22, range(150, 160)),
+    (44, range(150, 160)),
+    (24, range(162, 171)),
+    (48, range(162, 171)),
+    (38, (228, 232, 236, 238, 240)),
+    (76, (228, 232, 236, 238, 240)),
+    (25, (100, 131)),
+]
+
+
+@pytest.mark.parametrize("npts, frac_bits", FIXED_RULES, ids=lambda v: str(v))
+def test_gauss_legendre_fixed_within_one_ulp_of_mpf_reference(npts, frac_bits):
+    # the mpf weights carry about prec + 14 correct bits, so a reference 40
+    # bits above frac_bits is exact to far below one ulp
+    ref = _gauss_legendre_nodes(npts, max(frac_bits) + 40)
+    for F in frac_bits:
+        table = gauss_legendre_fixed(npts, F)
+        assert len(table) == npts
+        with workprec(F + 80):
+            scale = mpf(2) ** F
+            for (t, w), (x_ref, w_ref) in zip(table, ref):
+                assert abs(t - x_ref * scale) <= 1
+                assert abs(w - w_ref * scale) <= 1
+        assert all(t == -t_mirror and w == w_mirror
+                   for (t, w), (t_mirror, w_mirror) in zip(table, reversed(table)))
+        assert all(a[0] < b[0] for a, b in zip(table, table[1:]))
+        if npts % 2:
+            assert table[npts // 2][0] == 0
+        assert abs(sum(w for _, w in table) - 2 ** (F + 1)) <= npts
+
+
+def test_gauss_legendre_fixed_raises_on_unconverged_root(monkeypatch):
+    # a halved Newton step converges only linearly, so the final check at
+    # W bits still sees a large correction
+    step = hpnum._newton_step
+    monkeypatch.setattr(hpnum, "_newton_step",
+                        lambda npts, x, p: (step(npts, x, p)[0] // 2,) + step(npts, x, p)[1:])
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        gauss_legendre_fixed.__wrapped__(13, 97)

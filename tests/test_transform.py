@@ -193,3 +193,17 @@ def test_standard_grid_shape():
     per_point = {(h, k) for (h, k, _) in grid}
     assert all(math.gcd(h, k) == 1 for h, k in per_point)
     assert len(grid) == 3 * len(per_point)
+
+
+def test_law_row_prints_ratio_and_phase_to_decimals_of_tol():
+    # 4 decimals past the leading digit of tol: noise far below tol prints
+    # as 0, a deviation near tol keeps its digits
+    chk = check_law("P_law", 1, 2, mpc("0.8", "0.2"), tol=TOL, prec=160)
+    row = chk.to_json_dict()
+    assert row["ratio"] == "(1.00000000000000 + 0.00000000000000j)"
+    assert row["phase"] == "0.00000000000000"
+    chk.ratio, chk.phase = mpc("0.99999999997", "-2.3456e-11"), mpf("-2.3456e-11")
+    chk.tol = 3e-10
+    row = chk.to_json_dict()
+    assert row["ratio"] == "(0.99999999997000 - 0.00000000002346j)"
+    assert row["phase"] == "-0.00000000002346"
