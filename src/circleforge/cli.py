@@ -178,9 +178,10 @@ def cmd_integral(args):
     b = _parse_fraction(args.b) if args.b else None
     if b is None and args.which in ("J", "Jstar", "scriptI"):
         raise ValueError(f"--which {args.which} needs --b")
-    z = _parse_complex(args.z) if args.which in ("mordell", "J", "Jstar") else None
     y = _parse_fraction(args.y) if args.which == "L" else None
     with workprec(prec):
+        # z is parsed at prec, so a decimal --z is not rounded to 53 bits first
+        z = _parse_complex(args.z) if args.which in ("mordell", "J", "Jstar") else None
         if args.which == "mordell":
             val = mordell_I(args.k, args.nu, z, tol, prec=prec)
             err = tol

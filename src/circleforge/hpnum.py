@@ -182,57 +182,70 @@ def _newton_step(npts, x, p):
     return p1 * (x * x - (1 << 2 * p)) // (npts * (x * p1 - (p0 << p))), p1, p0
 
 
-@lru_cache(maxsize=128)
-def gauss_legendre_fixed(npts, frac_bits):
-    """The npts-point Gauss-Legendre rule on [-1, 1] as ints scaled by 2^frac_bits.
+@lru_cache(maxsize=32)
+def _gauss_legendre_half(npts, bits):
+    """Nodes x >= 0 of the npts-point Gauss-Legendre rule, largest first, and
+    their weights, as ints scaled by 2^bits, each within 1 ulp of the exact rule.
 
     Built on Python ints throughout, as Johansson (arXiv:1205.5991, sec. 3)
     does for p(n).  Each positive root of P_n starts from
-    cos(pi (i - 1/4) / (n + 1/2)), refined by float64 Newton steps; Newton
-    on the recurrence then runs in fixed point, doubling the precision each
-    step up to W = frac_bits + 2 bits(n) + 16.  One more recurrence at W
-    must move the root by at most 2^-(frac_bits+8), else ArithmeticError;
-    its P_n and P_(n-1) give the weight 2/((1 - x^2) P_n'(x)^2) at that
-    final node.  Nodes and weights are truncated toward zero from W bits,
-    so each is within 1 ulp of the exact rule at frac_bits.  Only the
-    nonnegative half is computed (the middle node is 0 for odd n), so the
-    table is exactly antisymmetric in x and symmetric in w.
+    cos(pi (i - 1/4) / (n + 1/2)) and takes Newton steps on the recurrence
+    in fixed point: at the lowest precision p until a step is below
+    2^-(p/2), then one per precision, doubling up to
+    W = bits + 2 bits(n) + 16.  One more recurrence at W must move the root
+    by at most 2^-(bits+8), else ArithmeticError; its P_n and P_(n-1) give
+    the weight 2/((1 - x^2) P_n'(x)^2) at that final node.  Nodes and
+    weights are truncated toward zero from W bits.  For odd n the last
+    node is 0.
     """
     guard = 2 * npts.bit_length() + 8
-    W = frac_bits + guard + 8
+    W = bits + guard + 8
     precs = [W]  # each Newton step roughly doubles the correct bits
     while precs[-1] > 2 * guard + 40:
         precs.append(precs[-1] // 2 + guard)
     precs.reverse()
-    half = []
+    roots = []
     for i in range(1, npts // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (npts + 0.5))
-        for _ in range(10):
-            p0, p1 = 1.0, x
-            for j in range(2, npts + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dx = p1 * (x * x - 1) / (npts * (x * p1 - p0))
-            x -= dx
-            if abs(dx) < 1e-12:
-                break
         p = precs[0]
-        x = int(math.ldexp(x, p))
-        for q in precs:
+        x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (npts + 0.5)), p))
+        for _ in range(8):
+            dx = _newton_step(npts, x, p)[0]
+            x -= dx
+            if abs(dx) < 1 << (p // 2):
+                break
+        for q in precs[1:]:
             x <<= q - p
             p = q
             x -= _newton_step(npts, x, p)[0]
-        half.append(x)
+        roots.append(x)
     if npts % 2:
-        half.append(0)
-    table = []
-    for i, x in enumerate(half, 1):
+        roots.append(0)
+    half = []
+    for i, x in enumerate(roots, 1):
         dx, pn, pm = _newton_step(npts, x, W)
-        if abs(dx) > 1 << guard:  # 2^-(frac_bits+8)
+        if abs(dx) > 1 << guard:  # 2^-(bits+8)
             raise ArithmeticError(f"root {i} of the {npts}-point Gauss-Legendre rule did not converge")
         q = x * pn - (pm << W)
-        w = (((1 << 2 * W) - x * x) << (2 * W + frac_bits + 1)) // (npts * npts * q * q)
-        table.append((x >> (W - frac_bits), w))
-    pos, mid = table[:npts // 2], table[npts // 2:]
+        w = (((1 << 2 * W) - x * x) << (2 * W + bits + 1)) // (npts * npts * q * q)
+        half.append((x >> (W - bits), w))
+    return tuple(half)
+
+
+@lru_cache(maxsize=128)
+def gauss_legendre_fixed(npts, frac_bits):
+    """The npts-point Gauss-Legendre rule on [-1, 1] as ints scaled by 2^frac_bits.
+
+    Truncates the half table of _gauss_legendre_half at frac_bits rounded up
+    to a multiple of 32, so the bands' k-dependent frac_bits share one build
+    per rule size and bucket.  Truncating twice toward zero is truncating
+    once, so each node and weight is within 1 ulp of the exact rule at
+    frac_bits.  The negative half mirrors the positive one, so the table is
+    exactly antisymmetric in x and symmetric in w.
+    """
+    bits = -(-frac_bits // 32) * 32
+    pos = [(x >> (bits - frac_bits), w >> (bits - frac_bits))
+           for x, w in _gauss_legendre_half(npts, bits)]
+    mid = [pos.pop()] if npts % 2 else []
     return tuple([(-x, w) for x, w in pos] + mid + pos[::-1])
 
 

@@ -97,9 +97,9 @@ class LawCheck:
     zeta_defects: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        # ratio and phase print 4 decimals past the leading digit of tol, so
-        # rounding noise far below tol prints as 0
-        places = 4 - math.floor(math.log10(self.tol))
+        # ratio and phase print 4 decimals past the leading digit of tol (at
+        # least one), so rounding noise far below tol prints as 0
+        places = max(1, 4 - math.floor(math.log10(self.tol)))
         ratio = mpc(self.ratio)
         re, im = _decimals(ratio.real, places), _decimals(ratio.imag, places)
         return {

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from circleforge.cli import main
@@ -131,6 +132,18 @@ def test_integral_row_nulls_unused_parameters(capsys, which, extra, b, nu, n, z,
     assert list(rows[0])[-3:] == ["z", "y", "N"]
     assert (rows[0]["b"], rows[0]["k"], rows[0]["nu"], rows[0]["n"]) == (b, 3, nu, n)
     assert (rows[0]["z"], rows[0]["y"], rows[0]["N"]) == (z, y, N)
+
+
+def test_integral_parses_z_at_precision_bits(capsys):
+    # 0.8 and 0.2 are not binary fractions: rounded to 53 bits they would
+    # move the integral in its 17th digit
+    from circleforge.integrals import mordell_I
+    code, rows = run_cli(["--precision-bits", "200", "integral", "--which", "mordell",
+                          "--k", "3", "--nu", "2", "--z", "0.8,0.2", "--tol", "1e-8"], capsys)
+    assert code == 0
+    with mpmath.workprec(200):
+        val = mordell_I(3, 2, mpmath.mpc("0.8", "0.2"), mpmath.mpf("1e-8"), prec=200)
+        assert rows[0]["value"] == mpmath.nstr(val, 20, strip_zeros=False)
 
 
 def test_check_transform(capsys):

@@ -211,4 +211,4 @@ def test_gauss_legendre_fixed_raises_on_unconverged_root(monkeypatch):
     monkeypatch.setattr(hpnum, "_newton_step",
                         lambda npts, x, p: (step(npts, x, p)[0] // 2,) + step(npts, x, p)[1:])
     with pytest.raises(ArithmeticError, match="did not converge"):
-        gauss_legendre_fixed.__wrapped__(13, 97)
+        hpnum._gauss_legendre_half.__wrapped__(13, 128)

@@ -207,3 +207,8 @@ def test_law_row_prints_ratio_and_phase_to_decimals_of_tol():
     row = chk.to_json_dict()
     assert row["ratio"] == "(0.99999999997000 - 0.00000000002346j)"
     assert row["phase"] == "-0.00000000002346"
+    chk.ratio, chk.phase = mpc(1), mpf(0)
+    for tol in (1e4, 1e5):
+        chk.tol = tol
+        row = chk.to_json_dict()
+        assert (row["ratio"], row["phase"]) == ("(1.0 + 0.0j)", "0.0")
