@@ -26,7 +26,7 @@ from mpmath import mpf, workprec
 
 from . import qseries
 from .hpnum import QuadratureError, default_precision
-from .integrals import J, Jstar, L_closed, L_contour, mordell_I, script_I
+from .integrals import J, Jstar, L_closed, L_contour, mordell_band, script_I_band
 from .kloosterman import (
     A_k,
     KloostermanSpec,
@@ -182,18 +182,15 @@ def cmd_integral(args):
     with workprec(prec):
         # z is parsed at prec, so a decimal --z is not rounded to 53 bits first
         z = _parse_complex(args.z) if args.which in ("mordell", "J", "Jstar") else None
+        err = tol
         if args.which == "mordell":
-            val = mordell_I(args.k, args.nu, z, tol, prec=prec)
-            err = tol
+            val = mordell_band(args.k, [args.nu], z, tol, prec=prec)[0]
         elif args.which == "J":
             val = J(b, args.k, args.nu, z, tol, prec=prec)
-            err = tol
         elif args.which == "Jstar":
             val = Jstar(b, args.k, args.nu, z, tol, prec=prec)
-            err = tol
         elif args.which == "scriptI":
-            val = script_I(b, args.k, args.nu, args.n, tol, prec=prec)
-            err = tol
+            val = script_I_band(b, args.k, [args.nu], args.n, tol, prec=prec)[0]
         else:  # L
             y_mpf = mpf(y.numerator) / y.denominator
             closed = L_closed(args.k, args.n, y_mpf, prec)
@@ -203,6 +200,11 @@ def cmd_integral(args):
                 val = L_contour(args.k, args.n, y_mpf, args.N, tol, prec=prec)
                 err = abs(val - closed)
         val = mpmath.mpc(val)
+        # real by conjugate symmetry; a residue above tol is a numerical failure
+        if args.which == "scriptI" or (z is not None and z.imag == 0):
+            if abs(val.imag) > tol:
+                raise ArithmeticError("symmetry violation: imaginary residue above tol")
+            val = mpmath.mpc(val.real)
     # parameters the chosen integral does not take print as null
     _emit({
         "which": args.which,

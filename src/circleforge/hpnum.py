@@ -1,4 +1,4 @@
-"""Arbitrary-precision numerics: Bessel functions I_1 and I_{3/2} and
+"""Arbitrary-precision numerics: Bessel series and closed forms, and
 error-controlled quadrature on finite intervals and Gaussian-decay lines.
 
 Scalars are mpmath mpf/mpc; every routine takes the working precision
@@ -9,11 +9,10 @@ when the rule difference is within the local error budget, so the
 reported error estimate bounds the discretization error of the accepted
 value.  The driver takes the panel sums as a function, one sum per
 component, and accepts a panel only when every component meets its budget.
-`quad_finite` supplies one scalar sum pointwise in mpf/mpc.  The p1bar
-band integrals supply one sum per nu in Python-integer fixed point, from
+`quad_finite` supplies one scalar sum pointwise in mpf/mpc.  The band
+integrals supply one sum per nu in Python-integer fixed point, from
 `gauss_legendre_fixed` (the rule built on ints) and `BesselFactor`
-(sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by Horner's rule);
-`bessel_i1` stays the mpf reference for that polynomial.
+(sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by Horner's rule).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from mpmath.libmp import to_fixed
 
 __all__ = [
     "default_precision",
-    "bessel_i1",
     "bessel_i32",
     "bessel_i_series",
     "BesselFactor",
@@ -40,24 +38,12 @@ __all__ = [
     "quad_panels",
     "quad_finite",
     "decay_cut",
-    "quad_decay",
 ]
 
 
 def default_precision(n):
     """Working precision (bits) that resolves p1bar(n) to well below 0.5."""
     return 64 + math.ceil(1.4427 * math.pi * math.sqrt(5 * max(n, 1) / 6))
-
-
-def bessel_i1(x, prec):
-    """I_1(x) for real x >= 0 by direct series summation (bessel_i_series).
-
-    All terms are positive, so the truncation error is below the first
-    omitted term; summation stops when that is < 2^-prec of the partial sum.
-    """
-    if x < 0:
-        raise ValueError("bessel_i1 expects x >= 0")
-    return bessel_i_series(2, x, prec)
 
 
 def bessel_i_series(order2, x, prec):
@@ -389,11 +375,11 @@ def quad_finite(f, a, b, tol, prec, max_panels=4096):
 
 
 def decay_cut(c, tol, prec, envelope_max=1):
-    """quad_decay's cut X and its certified tail bound (<= tol/4), at prec + 24 bits."""
+    """Cut X and tail bound (<= tol/4) for f over the line, |f| <= envelope_max |e^(-c x^2)|."""
     with workprec(prec + 24):
         c = mpc(c)
         if c.real <= 0:
-            raise ValueError("quad_decay needs Re c > 0")
+            raise ValueError("decay_cut needs Re c > 0")
         tol = mpf(tol)
         X = mpmath.sqrt((mpmath.log(4 / tol) + mpmath.log(1 + mpf(envelope_max))) / c.real)
         X = max(X, mpf(1))
@@ -409,17 +395,3 @@ def decay_cut(c, tol, prec, envelope_max=1):
             X *= mpf(5) / 4
             tail = tail_bound(X)
         return X, tail
-
-
-def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
-    """Integral over the real line of f with |f(x)| <= envelope_max * |e^(-c x^2)|.
-
-    Truncates to [-X, X] at decay_cut, with the Gaussian tail certified
-    below tol/4, and runs quad_finite on the rest of the budget.
-    """
-    with workprec(prec + 24):
-        X, tail = decay_cut(c, tol, prec, envelope_max)
-        inner = quad_finite(f, -X, X, mpf(tol) - tail, prec=prec, max_panels=max_panels)
-    with workprec(prec):
-        return QuadratureResult(+inner.value, +(inner.abs_error_estimate + tail),
-                                inner.subdivisions, inner.unconverged)

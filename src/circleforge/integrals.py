@@ -1,8 +1,8 @@
 """The analytic objects of the formula: Mordell integrals, their wrapped and
 principal-part-truncated forms, the Bessel-weighted main-term integrals, and
-the residue/contour pair for the rectangle integral.  The per-nu integrals of
-one k share a band quadrature in Python-integer fixed point (mordell_band,
-script_I_band); mordell_I and script_I stay as their pointwise mpf references.
+the residue/contour pair for the rectangle integral.  The per-nu Mordell and
+main-term integrals of one k are each one band of the same fixed-point
+kernel (_cosh_band behind mordell_band and script_I_band).
 
 Parameter b is threaded through as an exact Fraction (the values that occur
 are -1/12, 1/24 and 5/12); it only becomes a float inside sqrt(b/3) at the
@@ -21,23 +21,20 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 from .hpnum import (
     BesselFactor,
     bessel_factor_degree,
-    bessel_i1,
+    bessel_i_series,
     decay_cut,
     gauss_legendre_fixed,
-    quad_decay,
     quad_finite,
     quad_panels,
 )
 
 __all__ = [
     "cosh_path_floor",
-    "mordell_I",
     "mordell_band",
     "J",
     "Jstar",
     "J_gap",
     "lemma35_gap",
-    "script_I",
     "script_I_band",
     "L_closed",
     "L_contour",
@@ -73,113 +70,86 @@ def cosh_path_floor(k, nu, z, prec):
         return 2 * u * g / mpmath.sqrt(mpmath.pi ** 2 * u * u + 4 * v * v)
 
 
-def mordell_I(k, nu, z, tol, prec):
-    """I_{k,nu}(z): the Gaussian/cosh integral over the real line.
+def _exp_fixed(t, F):  # e^(t 2^-2F) at F bits
+    return to_fixed(mpf_exp(from_man_exp(t, -2 * F), F + 8), F)
 
-    Requires Re z > 0.  For real z the integrand is conjugate-symmetric
-    under x -> -x, so the value is real; the numeric imaginary part is kept
-    as a sanity residue for the caller.
+
+def _cos_sin_fixed(t, F):  # cos and sin of t 2^-2F at F bits
+    return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)]
+
+
+def _cosh_band(k, nus, u, weight, X, F, tol, prec):
+    """int_{-X}^{X} g(|x|) / cosh(i beta_nu - u x) dx, beta_nu = pi(6nu-1)/(6k), for
+    every nu in nus, from one quad_panels run at prec + 16 with budget tol.
+
+    u = (Re u, Im u) and the panel sums are ints scaled by 2^F; weight(ax) gives
+    (Re g, Im g) at |x| = ax 2^-F, once per |x|, and is real for real u.  Nodes
+    mid + rad t truncate toward zero, so mirrored nodes share the |x| memo.  The
+    rule is within 2^-F of the exact one and the node truncates once more, so
+    it adds at most rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel.
+
+    Real u: per node one exp gives ch, sh = cosh, sinh(u x); per (nu, node) one
+    division gives 1/cosh(i beta - u x) = (cos beta ch + i sin beta sh)
+    / (cos^2 beta + sh^2).  The values are real by conjugate symmetry; each
+    imaginary residue is checked against tol.  Complex u: per |x| one exp and
+    one cos/sin give E = e^(u x) as ch, sh = 2 cosh, 2 sinh of Re(u) x rotated
+    by Im(u) x; per (nu, node) one complex multiply and one division give
+    1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    with workprec(prec + 16):
-        z = mpc(z)
-        if z.real <= 0:
-            raise ValueError("mordell_I needs Re z > 0")
-        if z.imag == 0:
-            z = z.real
-        floor = cosh_path_floor(k, nu, z, prec)
-        if floor < mpf(2) ** (-(prec // 2)):
-            raise ValueError("path too close to pole of the integrand")
-        pi = mpmath.pi
-        shift = pi * 1j * mpf(6 * nu - 1) / (6 * k)
-        c = 3 * pi * z / k
-
-        def integrand(x):
-            return mpmath.exp(-c * x * x) / mpmath.cosh(shift - pi * z * x / k)
-
-        res = quad_decay(integrand, c, mpf(tol), prec=prec + 16, envelope_max=1 / floor)
-    with workprec(prec):
-        return +res.value
-
-
-def mordell_band(k, nus, z, tol, prec):
-    """mordell_I(k, nu, z, tol, prec) for every nu in nus, in one quadrature.
-
-    All nu share quad_decay's cut [-X, X] for the smallest cosh_path_floor
-    over nus (so each nu keeps tol) and the panels of one quad_panels run
-    at prec + 16; panel sums are Python ints with F = prec + 16 + G
-    fractional bits.  With u = pi z/k and E = e^(u x), the integrand is
-    e^(-3u x^2) 2/D with D = e^(i beta_nu)/E + E/e^(i beta_nu).  Each |x|
-    costs one exp for the Gaussian and one for e^(Re(u) x), plus a cos/sin
-    for each when z is complex; each (nu, x) costs one complex multiply and
-    one division by |D|^2.
-
-    Error budget.  G = 24 + 2 ceil(log2(1/floor)) + bits(prec + 16) + 2 bits(X)
-    for the smallest floor; bits(prec + 16) covers the rule sizes.  Rounding
-    u and x moves the exponents by a few X^2 ulp, and |D| >= 2 floor keeps
-    2/D within a few X^2 ulp / floor^2; each quotient adds one ulp.  So each
-    per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the Gauss-Legendre
-    sum in exact arithmetic at the computed nodes and weights.  Those come
-    from gauss_legendre_fixed, within 1 ulp (2^-F) of the exact rule, and
-    mid + rad t truncates once more, so each node is within (1 + rad) ulp;
-    with sum w_j = 2 the rule adds at most
-    rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel, rad = (x1 - x0)/2.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not nus:
-        return []
-    quad_prec = prec + 16
-    with workprec(quad_prec):
-        z = mpc(z)
-        if z.real <= 0:
-            raise ValueError("mordell_I needs Re z > 0")
-        floor = min(cosh_path_floor(k, nu, z, prec) for nu in nus)
-        if floor < mpf(2) ** (-(prec // 2)):
-            raise ValueError("path too close to pole of the integrand")
-        X, tail = decay_cut(3 * mpmath.pi * z / k, tol, quad_prec, 1 / floor)
-    F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
-         + 2 * int(X).bit_length())
+    ru, iu = u
     with workprec(F + 16):
-        u = mpmath.pi * z / k
-        ru, iu = to_fixed(u.real._mpf_, F), to_fixed(u.imag._mpf_, F)
-        trig = [(to_fixed(mpmath.cos(t)._mpf_, F), to_fixed(mpmath.sin(t)._mpf_, F))
-                for t in (mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus)]
-    one, one2 = 1 << F, 1 << (2 * F)
+        betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
+        cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
+        sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
+        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
+    one2 = 1 << (2 * F)
+    memo = {}
 
-    def fixed_exp(t):  # e^(t 2^-2F) at F bits
-        return to_fixed(mpf_exp(from_man_exp(t, -2 * F), F + 8), F)
-
-    def rotation(t):  # cos and sin of t 2^-2F at F bits; no rotation for real z
-        return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)] \
-            if iu else (one, 0)
-
-    def node(ax):
-        x2 = ax * ax >> F
-        g = fixed_exp(-3 * ru * x2)
-        e = fixed_exp(ru * ax)
-        ch, sh = e + (e_inv := one2 // e), e - e_inv
-        (gc, gs), (c, s) = rotation(-3 * iu * x2), rotation(iu * ax)
-        return g * gc >> F, g * gs >> F, ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F)
-
-    nodes = {}
-
-    def panel_sums(x0, x1, npts):
+    def panel_nodes(x0, x1, npts):
         mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
         rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
+        return rad, [(mid + (rad * t >> F) if t >= 0 else mid - (rad * -t >> F), w)
+                     for t, w in gauss_legendre_fixed(npts, F)]
+
+    def real_sums(x0, x1, npts):
+        rad, nodes = panel_nodes(x0, x1, npts)
         re, im = [0] * len(nus), [0] * len(nus)
-        for t, w in gauss_legendre_fixed(npts, F):
-            d = rad * t
-            x = mid + (d >> F if d >= 0 else -(-d >> F))
-            vals = nodes.get(abs(x))
+        for x, w in nodes:
+            ax = abs(x)
+            g = memo.get(ax)
+            if g is None:
+                g = memo[ax] = weight(ax)[0]
+            e = to_fixed(mpf_exp(from_man_exp(ru * x, -2 * F), F + 8), F)  # inlined _exp_fixed
+            e_inv = one2 // e
+            ch = (e + e_inv) >> 1
+            sh = (e - e_inv) >> 1
+            sh2 = sh * sh >> F
+            num = w * g
+            qs = [num // (c2 + sh2) for c2 in cos2_b]
+            re = [r + q * ch for r, q in zip(re, qs)]
+            im = [v + q * sh for v, q in zip(im, qs)]
+        # re and im carry 2F fraction bits; cos/sin beta and rad add F each
+        return [mpc(mpf((cb * r * rad, -4 * F)), mpf((sb * v * rad, -4 * F)))
+                for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
+
+    def node(ax):
+        e = _exp_fixed(ru * ax, F)
+        ch, sh = e + (e_inv := one2 // e), e - e_inv
+        c, s = _cos_sin_fixed(iu * ax, F)
+        return (*weight(ax), ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F))
+
+    def complex_sums(x0, x1, npts):
+        rad, nodes = panel_nodes(x0, x1, npts)
+        re, im = [0] * len(nus), [0] * len(nus)
+        for x, w in nodes:
+            vals = memo.get(abs(x))
             if vals is None:
-                vals = nodes[abs(x)] = node(abs(x))
+                vals = memo[abs(x)] = node(abs(x))
             gr, gi, a1, a2, b1, b2 = vals
             if x < 0:  # sh and sin(Im(u) x) are odd in x
                 a2, b2 = -a2, -b2
             wr, wi = w * gr, w * gi
-            for j, (cb, sb) in enumerate(trig):
+            for j, (cb, sb) in enumerate(zip(cos_b, sin_b)):
                 dr = cb * a1 + sb * a2 >> F
                 di = cb * b1 + sb * b2 >> F
                 m = dr * dr + di * di
@@ -189,10 +159,57 @@ def mordell_band(k, nus, z, tol, prec):
         return [mpc(mpf((2 * r * rad, -2 * F)), mpf((2 * v * rad, -2 * F)))
                 for r, v in zip(re, im)]
 
-    with workprec(quad_prec + 24):
-        res = quad_panels(panel_sums, -X, X, mpf(tol) - tail, quad_prec)
+    with workprec(prec + 40):
+        res = quad_panels(complex_sums if iu else real_sums, -X, X, tol, prec + 16)
+        if not iu and any(abs(v.imag) > tol for v in res.value):
+            raise ArithmeticError("symmetry violation: imaginary residue above tol")
     with workprec(prec):
-        return [+v for v in res.value]
+        return [+v if iu else +v.real for v in res.value]
+
+
+def mordell_band(k, nus, z, tol, prec):
+    """I_{k,nu}(z) = int e^(-3u x^2) / cosh(i beta_nu - u x) dx over the real line,
+    u = pi z/k, for every nu in nus from one _cosh_band; requires Re z > 0.
+    The cut [-X, X] is decay_cut's for the smallest cosh_path_floor over nus,
+    and its certified tail comes off tol, so each nu keeps tol.
+
+    Error budget.  G = 24 + 2 ceil(log2(1/floor)) + bits(prec + 16) + 2 bits(X),
+    plus ceil(log2(e) Re(u) X) for real z; bits(prec + 16) covers the rule
+    sizes.  Rounding u and x moves the exponents by a few X^2 ulp.
+    |D| >= 2 floor (complex z) or cos^2 beta + sh^2 >= floor^2 (real z) keeps
+    1/cosh within a few X^2 ulp / floor^2, and each quotient adds one ulp,
+    times ch <= e^(Re(u) X) for real z.  So each per-nu panel sum is within
+    2^-(prec+36) (x1 - x0) of the Gauss-Legendre sum in exact arithmetic at
+    the computed nodes and weights; _cosh_band bounds the rule's error.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if not nus:
+        return []
+    quad_prec = prec + 16
+    with workprec(quad_prec):
+        z = mpc(z)
+        if z.real <= 0:
+            raise ValueError("mordell_band needs Re z > 0")
+        floor = min(cosh_path_floor(k, nu, z, prec) for nu in nus)
+        if floor < mpf(2) ** (-(prec // 2)):
+            raise ValueError("path too close to pole of the integrand")
+        X, tail = decay_cut(3 * mpmath.pi * z / k, tol, quad_prec, 1 / floor)
+        tol = mpf(tol) - tail
+        growth = 0 if z.imag else math.ceil(float(mpmath.pi * z.real * X / k) / math.log(2))
+    F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
+         + 2 * int(X).bit_length() + growth)
+    with workprec(F + 16):
+        u = mpmath.pi * z / k
+        ru, iu = to_fixed(u.real._mpf_, F), to_fixed(u.imag._mpf_, F)
+
+    def gaussian(ax):  # e^(-3u x^2) at F bits
+        x2 = ax * ax >> F
+        c, s = _cos_sin_fixed(-3 * iu * x2, F) if iu else (1 << F, 0)
+        g = _exp_fixed(-3 * ru * x2, F)
+        return g * c >> F, g * s >> F
+
+    return _cosh_band(k, nus, (ru, iu), gaussian, X, F, tol, prec)
 
 
 def J(b, k, nu, z, tol, prec):
@@ -202,7 +219,7 @@ def J(b, k, nu, z, tol, prec):
         z = mpc(z)
         if z.imag == 0:
             z = z.real
-        i = mordell_I(k, nu, z, tol, prec=prec + 16)
+        i = mordell_band(k, [nu], z, tol, prec=prec + 16)[0]
         val = z * mpmath.exp(mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)) * i
     with workprec(prec):
         return +val
@@ -289,41 +306,6 @@ def lemma35_gap(b, k, nu, z_values, tol=mpf("1e-12"), prec=96):
         return rows
 
 
-def script_I(b, k, nu, n, tol, prec):
-    """The Bessel-weighted main-term integral over [-1, 1].
-
-    Returns the real part; raises if the imaginary residue exceeds tol
-    (the integrand is conjugate-symmetric under x -> -x, so the exact value
-    is real).  The integrand vanishes at the endpoints.
-    """
-    b = Fraction(b)
-    if b <= 0 or n < 1:
-        raise ValueError("script_I needs b > 0 and n >= 1")
-    if k < 1:
-        raise ValueError("k must be positive")
-    with workprec(prec + 16):
-        pi = mpmath.pi
-        sq = _sqrt_fraction(b / 3, prec)
-        shift = pi * 1j * mpf(6 * nu - 1) / (6 * k)
-        amp = 2 * pi / k
-        two_b_n = mpf(2 * b.numerator * n) / b.denominator
-
-        def integrand(x):
-            s = 1 - x * x
-            if s <= 0:
-                return mpc(0)
-            root = mpmath.sqrt(s)
-            return root * bessel_i1(amp * mpmath.sqrt(two_b_n * s), prec + 16) \
-                / mpmath.cosh(shift - pi * sq * x / k)
-
-        res = quad_finite(integrand, -1, 1, mpf(tol), prec=prec + 16)
-        if abs(res.value.imag if isinstance(res.value, mpc) else 0) > tol:
-            raise ArithmeticError("symmetry violation: imaginary residue above tol")
-        val = res.value.real if isinstance(res.value, mpc) else res.value
-    with workprec(prec):
-        return +val
-
-
 def _band_guard_bits(k, degree):
     """Guard bits G of script_I_band for band k and Bessel degree M; see its error budget."""
     sigma_bits = math.ceil(-math.log2(math.sin(math.pi / (6 * k))))
@@ -331,42 +313,25 @@ def _band_guard_bits(k, degree):
 
 
 def script_I_band(b, k, nus, n, tol, prec):
-    """script_I(b, k, nu, n, tol, prec) for every nu in nus, in one quadrature.
+    """int_{-1}^{1} B(x) / cosh(i beta_nu - alpha x) dx for every nu in nus, from
+    one _cosh_band, with B(x) = sqrt(s) I_1(c sqrt(s)), s = 1 - x^2,
+    c = (2pi/k) sqrt(2bn) and alpha = pi sqrt(b/3)/k.  The weight B is a
+    BesselFactor polynomial in s, zero where s <= 0; tol is each nu's budget.
 
-    All nu share the nodes and panels of one quad_panels run (same rule,
-    tolerance and panel decisions as quad_finite at prec + 16), and the
-    panel sums are formed on Python ints with F = prec + 16 + G fractional
-    bits.  Per node x, with s = 1 - x^2:
-      * B = sqrt(s) I_1(c sqrt(s)), c = (2pi/k) sqrt(2bn), is a BesselFactor
-        polynomial in s, evaluated once per |x| since B is even;
-      * one exp(alpha x), alpha = pi sqrt(b/3)/k, gives ch = cosh(alpha x)
-        and sh = sinh(alpha x);
-      * 1/cosh(i beta_nu - alpha x) = (cos beta_nu ch + i sin beta_nu sh)
-        / (cos^2 beta_nu + sh^2), beta_nu = pi(6nu-1)/(6k): one integer
-        division per (nu, node); cos beta_nu and sin beta_nu multiply the
-        per-nu sums once per panel.
-    tol is the budget of each nu, and each nu's imaginary residue is
-    checked against it as in script_I.
-
-    Error budget.  G = 24 + 2 bits(M+1) + 2 ceil(log2(1/sigma)) with
-    sigma = sin(pi/(6k)) <= |cos beta_nu| and M the polynomial degree; let
+    Error budget.  F = prec + 16 + G, G = 24 + 2 bits(M+1) + 2 ceil(log2(1/sigma))
+    with sigma = sin(pi/(6k)) <= |cos beta_nu| and M the polynomial degree; let
     u = 2^-F.  The polynomial is truncated at relative error 2^-(prec+24).
     Rounding its coefficients, the Horner steps and s move B by at most
     3(M+1) u I_1(c) (s S'(s) <= M S(s), and I_1(c) is the largest B).  The
     denominator cos^2 beta_nu + sh^2 >= sigma^2 carries an error of a few
-    u, i.e. a few u / sigma^2 relative.  To first order in u every node
-    value f(x) is therefore within 2^-(prec+36) (I_1(c) + |f(x)|) of the
-    exact integrand at the computed node, and each per-nu panel sum within
-    2^-(prec+36) (I_1(c) (x1 - x0) + sum_j w_j |f(x_j)|) of the
-    Gauss-Legendre sum in exact arithmetic at the computed nodes and
-    weights.  gauss_legendre_fixed holds those within 1 ulp u of the exact
-    rule, and mid + rad t truncates once more, so each node is within
-    (1 + rad) u; with sum w_j = 2 the rule adds at most
-    rad u (npts max|f| + 2 (1 + rad) max|f'|) per panel, rad = (x1 - x0)/2.
+    u, i.e. a few u / sigma^2 relative.  To first order in u each per-nu
+    panel sum is therefore within 2^-(prec+36) (I_1(c) (x1 - x0)
+    + sum_j w_j |f(x_j)|) of the Gauss-Legendre sum in exact arithmetic at
+    the computed nodes and weights; _cosh_band bounds the rule's error.
     """
     b = Fraction(b)
     if b <= 0 or n < 1:
-        raise ValueError("script_I needs b > 0 and n >= 1")
+        raise ValueError("script_I_band needs b > 0 and n >= 1")
     if k < 1:
         raise ValueError("k must be positive")
     if not nus:
@@ -378,57 +343,17 @@ def script_I_band(b, k, nus, n, tol, prec):
 
     with workprec(quad_prec):
         degree = bessel_factor_degree(bessel_argument(), quad_prec)
+        tol = mpf(tol)
     F = quad_prec + _band_guard_bits(k, degree)
     with workprec(F + 16):
         factor = BesselFactor(bessel_argument(), degree, F)
         alpha = to_fixed((mpmath.pi * _sqrt_fraction(b / 3, F + 16) / k)._mpf_, F)
-        betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
-        cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
-        sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
-        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
-    one = 1 << F
-    one2 = 1 << (2 * F)
-    bessel = {}
 
-    def panel_sums(x0, x1, npts):
-        mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
-        rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
-        re = [0] * len(nus)
-        im = [0] * len(nus)
-        for t, w in gauss_legendre_fixed(npts, F):
-            d = rad * t
-            # truncate toward zero, so mirrored nodes are exact negatives
-            # and share the |x| memo
-            x = mid + (d >> F if d >= 0 else -(-d >> F))
-            s = one - (x * x >> F)
-            if s <= 0:
-                continue
-            ax = abs(x)
-            weight = bessel.get(ax)
-            if weight is None:
-                weight = bessel[ax] = factor(s)
-            e = to_fixed(mpf_exp(from_man_exp(alpha * x, -2 * F), F + 8), F)
-            e_inv = one2 // e
-            ch = (e + e_inv) >> 1
-            sh = (e - e_inv) >> 1
-            sh2 = sh * sh >> F
-            num = w * weight
-            qs = [num // (c2 + sh2) for c2 in cos2_b]
-            re = [r + q * ch for r, q in zip(re, qs)]
-            im = [v + q * sh for v, q in zip(im, qs)]
-        # re and im carry 2F fraction bits; cos/sin beta and rad add F each
-        scale = -4 * F
-        return [mpc(mpf((cb * r * rad, scale)), mpf((sb * v * rad, scale)))
-                for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
+    def bessel(ax):  # B at F bits
+        s = (1 << F) - (ax * ax >> F)
+        return (factor(s) if s > 0 else 0), 0
 
-    with workprec(quad_prec):
-        tol = mpf(tol)
-        res = quad_panels(panel_sums, mpf(-1), mpf(1), tol, quad_prec)
-        if any(abs(v.imag) > tol for v in res.value):
-            raise ArithmeticError("symmetry violation: imaginary residue above tol")
-        vals = [v.real for v in res.value]
-    with workprec(prec):
-        return [+v for v in vals]
+    return _cosh_band(k, nus, (alpha, 0), bessel, mpf(1), F, tol, prec)
 
 
 def L_closed(k, n, y, prec):
@@ -439,7 +364,8 @@ def L_closed(k, n, y, prec):
             raise ValueError("L_closed needs y >= 0, n >= 1, k >= 1")
         if y == 0:
             return mpf(0)
-        val = mpmath.sqrt(y / n) / k * bessel_i1(4 * mpmath.pi * mpmath.sqrt(n * y) / k, prec + 16)
+        x = 4 * mpmath.pi * mpmath.sqrt(n * y) / k
+        val = mpmath.sqrt(y / n) / k * bessel_i_series(2, x, prec + 16)
     with workprec(prec):
         return +val
 

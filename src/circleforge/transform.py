@@ -97,8 +97,8 @@ class LawCheck:
     zeta_defects: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        # ratio and phase print 4 decimals past the leading digit of tol (at
-        # least one), so rounding noise far below tol prints as 0
+        # ratio, modulus_defect and phase print 4 decimals past the leading
+        # digit of tol (at least one), so rounding noise far below tol prints as 0
         places = max(1, 4 - math.floor(math.log10(self.tol)))
         ratio = mpc(self.ratio)
         re, im = _decimals(ratio.real, places), _decimals(ratio.imag, places)
@@ -108,7 +108,7 @@ class LawCheck:
             "k": self.k,
             "z": mpmath.nstr(self.z, 12),
             "ratio": f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)",
-            "modulus_defect": mpmath.nstr(self.modulus_defect, 4),
+            "modulus_defect": _decimals(self.modulus_defect, places),
             "phase": _decimals(self.phase, places),
             "passed": self.passed,
             "zeta_defects": {

@@ -137,13 +137,25 @@ def test_integral_row_nulls_unused_parameters(capsys, which, extra, b, nu, n, z,
 def test_integral_parses_z_at_precision_bits(capsys):
     # 0.8 and 0.2 are not binary fractions: rounded to 53 bits they would
     # move the integral in its 17th digit
-    from circleforge.integrals import mordell_I
+    from circleforge.integrals import mordell_band
     code, rows = run_cli(["--precision-bits", "200", "integral", "--which", "mordell",
                           "--k", "3", "--nu", "2", "--z", "0.8,0.2", "--tol", "1e-8"], capsys)
     assert code == 0
     with mpmath.workprec(200):
-        val = mordell_I(3, 2, mpmath.mpc("0.8", "0.2"), mpmath.mpf("1e-8"), prec=200)
+        val = mordell_band(3, [2], mpmath.mpc("0.8", "0.2"), mpmath.mpf("1e-8"), prec=200)[0]
         assert rows[0]["value"] == mpmath.nstr(val, 20, strip_zeros=False)
+
+
+@pytest.mark.parametrize("which", ["mordell", "J", "Jstar"])
+def test_integral_at_real_z_prints_real_value(capsys, which):
+    # real by conjugate symmetry: the imaginary rounding residue is checked
+    # against tol and not printed
+    code, rows = run_cli(["integral", "--which", which, "--b", "5/12", "--k", "3", "--nu", "2",
+                          "--z", "1/2"], capsys)
+    assert code == 0
+    assert "j" not in rows[0]["value"]
+    assert rows[0]["value"] == rows[0]["re"]
+    assert float(rows[0]["im"]) == 0
 
 
 def test_check_transform(capsys):
@@ -269,6 +281,15 @@ def test_imaginary_residue_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(rademacher, "script_I_band", skewed_band)
     code = main(["exact", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure: symmetry violation" in captured.err
+    # an integral that is real by symmetry, with a residue above --tol
+    import circleforge.cli as cli
+
+    monkeypatch.setattr(cli, "Jstar", lambda *args, **kwargs: mpmath.mpc(1, "1e-6"))
+    code = main(["integral", "--which", "Jstar", "--b", "5/12", "--k", "3", "--z", "1/2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

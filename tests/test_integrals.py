@@ -13,7 +13,7 @@ from mpmath.libmp import to_fixed
 from circleforge.hpnum import (
     BesselFactor,
     bessel_factor_degree,
-    bessel_i1,
+    bessel_i_series,
     default_precision,
     quad_finite,
 )
@@ -25,13 +25,12 @@ from circleforge.integrals import (
     L_contour,
     cosh_path_floor,
     lemma35_gap,
-    mordell_I,
     mordell_band,
-    script_I,
     script_I_band,
     _band_guard_bits,
 )
 from circleforge.transform import standard_grid
+from reference import mordell_I, script_I
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -265,7 +264,7 @@ def test_bessel_factor_matches_bessel_i1(b, k):
         with workprec(F + 32):
             s_exact = mpf(s_fixed) / 2 ** F
             got = mpf(factor(s_fixed)) / 2 ** F
-            want = mpmath.sqrt(s_exact) * bessel_i1(c * mpmath.sqrt(s_exact), F + 32)
+            want = mpmath.sqrt(s_exact) * bessel_i_series(2, c * mpmath.sqrt(s_exact), F + 32)
             assert abs(got - want) < want * mpf(2) ** -prec, (k, s)
 
 
@@ -300,6 +299,13 @@ def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
     monkeypatch.setattr(integrals, "quad_panels", skewed)
     with pytest.raises(ArithmeticError):
         script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, mpf("1e-12"), prec=96)
+    # the Mordell bands run the same check at real z ...
+    with pytest.raises(ArithmeticError):
+        mordell_band(3, [1, 2, 3], mpf(1) / 2, mpf("1e-12"), prec=96)
+    # ... and at complex z, where there is no symmetry, stay complex
+    with workprec(96):
+        z = mpc(mpf(4) / 5, mpf(1) / 5)
+    assert all(isinstance(v, mpc) for v in mordell_band(3, [1, 2, 3], z, mpf("1e-12"), prec=96))
 
 
 def test_script_I_band_validation():
@@ -312,7 +318,7 @@ def test_script_I_band_validation():
 def test_L_closed_trivials():
     assert L_closed(3, 5, 0, 80) == 0
     with workprec(100):
-        expected = bessel_i1(4 * mpmath.pi, 100)
+        expected = bessel_i_series(2, 4 * mpmath.pi, 100)
         assert abs(L_closed(1, 1, 1, 100) - expected) < mpf("1e-25")
 
 

@@ -11,20 +11,19 @@ import pytest
 from mpmath import mpc, mpf, workprec
 
 import circleforge
-from circleforge.hpnum import quad_decay, quad_finite
+from circleforge.hpnum import quad_finite
 from circleforge.integrals import (
     J,
     J_gap,
     Jstar,
     L_contour,
     mordell_band,
-    mordell_I,
-    script_I,
     script_I_band,
 )
 from circleforge.kloosterman import KloostermanSpec, modified_K
 from circleforge.rademacher import p1bar_exact
 from circleforge.transform import check_law, evaluate_series
+from reference import mordell_I, quad_decay, script_I
 
 # inputs are exact binary fractions, so they are the same numbers at any
 # global precision
@@ -72,6 +71,8 @@ def _global_precision_reads(path):
 
 
 def test_no_source_reads_global_precision():
+    # the package and the pointwise references its tests compare against
     src = pathlib.Path(circleforge.__file__).parent
-    reads = [hit for path in sorted(src.glob("*.py")) for hit in _global_precision_reads(path)]
+    paths = [*sorted(src.glob("*.py")), pathlib.Path(__file__).parent / "reference.py"]
+    reads = [hit for path in paths for hit in _global_precision_reads(path)]
     assert reads == []

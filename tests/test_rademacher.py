@@ -8,7 +8,6 @@ import pytest
 from mpmath import mpf, workprec
 
 from circleforge.hpnum import default_precision
-from circleforge.integrals import script_I
 from circleforge.kloosterman import KloostermanSpec, modified_K
 from circleforge.qseries import named_series
 from circleforge.rademacher import (
@@ -20,6 +19,7 @@ from circleforge.rademacher import (
     p_rademacher,
     verify_range,
 )
+from reference import script_I
 
 PREC = 256
 

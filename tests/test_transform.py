@@ -201,14 +201,17 @@ def test_law_row_prints_ratio_and_phase_to_decimals_of_tol():
     chk = check_law("P_law", 1, 2, mpc("0.8", "0.2"), tol=TOL, prec=160)
     row = chk.to_json_dict()
     assert row["ratio"] == "(1.00000000000000 + 0.00000000000000j)"
+    assert row["modulus_defect"] == "0.00000000000000"
     assert row["phase"] == "0.00000000000000"
     chk.ratio, chk.phase = mpc("0.99999999997", "-2.3456e-11"), mpf("-2.3456e-11")
+    chk.modulus_defect = mpf("3e-11")
     chk.tol = 3e-10
     row = chk.to_json_dict()
     assert row["ratio"] == "(0.99999999997000 - 0.00000000002346j)"
+    assert row["modulus_defect"] == "0.00000000003000"
     assert row["phase"] == "-0.00000000002346"
-    chk.ratio, chk.phase = mpc(1), mpf(0)
+    chk.ratio, chk.modulus_defect, chk.phase = mpc(1), mpf(0), mpf(0)
     for tol in (1e4, 1e5):
         chk.tol = tol
         row = chk.to_json_dict()
-        assert (row["ratio"], row["phase"]) == ("(1.0 + 0.0j)", "0.0")
+        assert (row["ratio"], row["modulus_defect"], row["phase"]) == ("(1.0 + 0.0j)", "0.0", "0.0")
