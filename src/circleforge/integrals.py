@@ -119,7 +119,7 @@ def _cosh_band(k, nus, u, weight, X, F, tol, prec):
             g = memo.get(ax)
             if g is None:
                 g = memo[ax] = weight(ax)[0]
-            e = to_fixed(mpf_exp(from_man_exp(ru * x, -2 * F), F + 8), F)  # inlined _exp_fixed
+            e = _exp_fixed(ru * x, F)
             e_inv = one2 // e
             ch = (e + e_inv) >> 1
             sh = (e - e_inv) >> 1
