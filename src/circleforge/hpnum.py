@@ -1,5 +1,5 @@
-"""Arbitrary-precision numerics: Bessel series and closed forms, and
-error-controlled quadrature on finite intervals and Gaussian-decay lines.
+"""Arbitrary-precision numerics: Bessel series and closed forms, the
+Gauss-Legendre rule on Python integers, and error-controlled quadrature.
 
 Scalars are mpmath mpf/mpc; every routine takes the working precision
 explicitly (bits) and never depends on the global mpmath state it was
@@ -9,10 +9,11 @@ when the rule difference is within the local error budget, so the
 reported error estimate bounds the discretization error of the accepted
 value.  The driver takes the panel sums as a function, one sum per
 component, and accepts a panel only when every component meets its budget.
-`quad_finite` supplies one scalar sum pointwise in mpf/mpc.  The band
-integrals supply one sum per nu in Python-integer fixed point, from
-`gauss_legendre_fixed` (the rule built on ints) and `BesselFactor`
-(sqrt(s) I_1(c sqrt(s)) as a polynomial in s, evaluated by Horner's rule).
+Every integral of the package supplies its panel sums in Python-integer
+fixed point, from `gauss_legendre_fixed` (the rule built on ints) and, for
+the main-term bands, `BesselFactor` (sqrt(s) I_1(c sqrt(s)) as a
+polynomial in s, evaluated by Horner's rule).  `decay_cut` truncates a
+Gaussian-decay integrand over the real line to a finite interval.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "quad_panels",
-    "quad_finite",
     "decay_cut",
 ]
 
@@ -114,46 +114,6 @@ class QuadratureResult:
     subdivisions: int
     # panels accepted only because they reached the width floor 2^(-prec/2)
     unconverged: int = 0
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre_nodes(npts, prec):
-    """Nodes/weights of the n-point Gauss-Legendre rule on [-1, 1], in mpf.
-
-    Roots of P_n by Newton iteration from Chebyshev initial guesses; the
-    rule integrates polynomials of degree 2n-1 exactly.  The nodes are
-    good to the prec + 32 bits returned, but each weight takes P_n' at the
-    iterate before the last Newton step, which may still be 2^-(prec+16)
-    from the root, so a weight carries only about prec + 14 correct bits.
-    Only `quad_finite` and the tests (as the reference for
-    gauss_legendre_fixed at 40 more bits) use it; its bits are frozen on
-    purpose, since changing them would move every quad_finite result.
-    """
-    with workprec(prec + 32):
-        nodes = []
-        for i in range(1, npts // 2 + 1):
-            x = mpf(math.cos(math.pi * (i - 0.25) / (npts + 0.5)))
-            for _ in range(100):
-                p0, p1 = mpf(1), x
-                for j in range(2, npts + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = npts * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpf(2) ** (-(prec + 16)):
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x, w))
-        out = [(-x, w) for (x, w) in nodes]
-        if npts % 2 == 1:
-            x = mpf(0)
-            p0, p1 = mpf(1), x
-            for j in range(2, npts + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = npts * (x * p1 - p0) / (x * x - 1)
-            out.append((x, 2 / (dp * dp)))
-        out.extend((x, w) for (x, w) in reversed(nodes))
-        return tuple((+x, +w) for (x, w) in out)
 
 
 def _newton_step(npts, x, p):
@@ -290,17 +250,6 @@ class BesselFactor:
         return self.half_c * s * acc >> (2 * F)
 
 
-def _panel(f, a, b, npts, prec):
-    """The npts-point Gauss-Legendre sum of f on [a, b], as a one-component list."""
-    nodes = _gauss_legendre_nodes(npts, prec)
-    mid = (a + b) / 2
-    rad = (b - a) / 2
-    total = 0
-    for x, w in nodes:
-        total += w * f(mid + rad * x)
-    return [total * rad]
-
-
 def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
     """Adaptive bisection with an embedded lower/higher-order pair.
 
@@ -352,26 +301,6 @@ def quad_panels(panel_sums, a, b, tol, prec, max_panels=4096):
                 stack.append((xm, x1, budget / 2))
     with workprec(prec):
         return QuadratureResult([+t for t in total], [+e for e in err], panels, unconverged)
-
-
-def quad_finite(f, a, b, tol, prec, max_panels=4096):
-    """quad_panels on the scalar integrand f sampled pointwise in mpf/mpc."""
-
-    def panel_sums(x0, x1, npts):
-        return _panel(f, x0, x1, npts, prec)
-
-    with workprec(prec + 24):
-        tol = mpf(tol)
-        a, b = mpc(a), mpc(b)
-        if a.imag == 0 and b.imag == 0:
-            a, b = a.real, b.real
-    try:
-        res = quad_panels(panel_sums, a, b, tol, prec, max_panels)
-    except QuadratureError as exc:
-        exc.value, exc.error_estimate = exc.value[0], exc.error_estimate[0]
-        raise
-    res.value, res.abs_error_estimate = res.value[0], res.abs_error_estimate[0]
-    return res
 
 
 def decay_cut(c, tol, prec, envelope_max=1):

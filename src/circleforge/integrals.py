@@ -1,8 +1,9 @@
 """The analytic objects of the formula: Mordell integrals, their wrapped and
 principal-part-truncated forms, the Bessel-weighted main-term integrals, and
 the residue/contour pair for the rectangle integral.  The per-nu Mordell and
-main-term integrals of one k are each one band of the same fixed-point
-kernel (_cosh_band behind mordell_band and script_I_band).
+main-term integrals of one k and the truncated integrals are bands of one
+fixed-point kernel (_cosh_band behind mordell_band, script_I_band, Jstar and
+J_gap); L_contour sums its edges on the same fixed-point nodes.
 
 Parameter b is threaded through as an exact Fraction (the values that occur
 are -1/12, 1/24 and 5/12); it only becomes a float inside sqrt(b/3) at the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -24,7 +26,6 @@ from .hpnum import (
     bessel_i_series,
     decay_cut,
     gauss_legendre_fixed,
-    quad_finite,
     quad_panels,
 )
 
@@ -78,25 +79,39 @@ def _cos_sin_fixed(t, F):  # cos and sin of t 2^-2F at F bits
     return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)]
 
 
-def _cosh_band(k, nus, u, weight, X, F, tol, prec):
-    """int_{-X}^{X} g(|x|) / cosh(i beta_nu - u x) dx, beta_nu = pi(6nu-1)/(6k), for
-    every nu in nus, from one quad_panels run at prec + 16 with budget tol.
+def _panel_nodes(x0, x1, npts, F):
+    """rad and the nodes (mid + rad t, w) of the npts-point Gauss-Legendre rule on
+    [x0, x1], as ints scaled by 2^F; rad t truncates toward zero.  The rule is
+    within 2^-F of the exact one and the node truncates once more, so with
+    sum w = 2 it adds at most rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel.
+    """
+    mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
+    rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
+    return rad, [(mid + (rad * t >> F) if t >= 0 else mid - (rad * -t >> F), w)
+                 for t, w in gauss_legendre_fixed(npts, F)]
 
-    u = (Re u, Im u) and the panel sums are ints scaled by 2^F; weight(ax) gives
-    (Re g, Im g) at |x| = ax 2^-F, once per |x|, and is real for real u.  Nodes
-    mid + rad t truncate toward zero, so mirrored nodes share the |x| memo.  The
-    rule is within 2^-F of the exact one and the node truncates once more, so
-    it adds at most rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel.
 
-    Real u: per node one exp gives ch, sh = cosh, sinh(u x); per (nu, node) one
-    division gives 1/cosh(i beta - u x) = (cos beta ch + i sin beta sh)
+def _cosh_band(k, nus, u, weight, real_g, lo, X, F, tol, prec):
+    """int g(|x|) / cosh(i beta_nu - u x) dx over lo <= |x| <= X, beta_nu = pi(6nu-1)/(6k),
+    for every nu in nus, from quad_panels at prec + 16 with budget tol.  It is
+    behind script_I_band, mordell_band, Jstar and J_gap; their pointwise mpf
+    references are in tests/reference.py.  lo = 0 is the one interval [-X, X];
+    lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.
+    u = (Re u, Im u) and the panel sums are ints scaled by 2^F, on the nodes of
+    _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F, once per |x|
+    (the ends are negated exactly, so mirrored nodes share one memo entry),
+    and real_g says that Im g is 0.  The loop follows the integrand:
+
+    Real u and real g: per node one exp gives ch, sh = cosh, sinh(u x); per
+    (nu, node) one division gives 1/cosh(i beta - u x) = (cos beta ch + i sin beta sh)
     / (cos^2 beta + sh^2).  The values are real by conjugate symmetry; each
-    imaginary residue is checked against tol.  Complex u: per |x| one exp and
-    one cos/sin give E = e^(u x) as ch, sh = 2 cosh, 2 sinh of Re(u) x rotated
-    by Im(u) x; per (nu, node) one complex multiply and one division give
-    1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
+    imaginary residue, summed over the tails, is checked against tol.
+    Otherwise: per |x| one exp and one cos/sin give E = e^(u x) as ch, sh = 2 cosh,
+    2 sinh of Re(u) x rotated by Im(u) x; per (nu, node) one complex multiply and
+    one division give 1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
     """
     ru, iu = u
+    real = not iu and real_g
     with workprec(F + 16):
         betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
         cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
@@ -105,14 +120,8 @@ def _cosh_band(k, nus, u, weight, X, F, tol, prec):
     one2 = 1 << (2 * F)
     memo = {}
 
-    def panel_nodes(x0, x1, npts):
-        mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
-        rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
-        return rad, [(mid + (rad * t >> F) if t >= 0 else mid - (rad * -t >> F), w)
-                     for t, w in gauss_legendre_fixed(npts, F)]
-
     def real_sums(x0, x1, npts):
-        rad, nodes = panel_nodes(x0, x1, npts)
+        rad, nodes = _panel_nodes(x0, x1, npts, F)
         re, im = [0] * len(nus), [0] * len(nus)
         for x, w in nodes:
             ax = abs(x)
@@ -139,7 +148,7 @@ def _cosh_band(k, nus, u, weight, X, F, tol, prec):
         return (*weight(ax), ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F))
 
     def complex_sums(x0, x1, npts):
-        rad, nodes = panel_nodes(x0, x1, npts)
+        rad, nodes = _panel_nodes(x0, x1, npts, F)
         re, im = [0] * len(nus), [0] * len(nus)
         for x, w in nodes:
             vals = memo.get(abs(x))
@@ -160,11 +169,14 @@ def _cosh_band(k, nus, u, weight, X, F, tol, prec):
                 for r, v in zip(re, im)]
 
     with workprec(prec + 40):
-        res = quad_panels(complex_sums if iu else real_sums, -X, X, tol, prec + 16)
-        if not iu and any(abs(v.imag) > tol for v in res.value):
+        spans = [(-X, -lo), (lo, X)] if lo else [(-X, X)]
+        parts = [quad_panels(real_sums if real else complex_sums, a, b, tol / len(spans),
+                             prec + 16).value for a, b in spans]
+        values = [sum(vs) for vs in zip(*parts)]
+        if real and any(abs(v.imag) > tol for v in values):
             raise ArithmeticError("symmetry violation: imaginary residue above tol")
     with workprec(prec):
-        return [+v if iu else +v.real for v in res.value]
+        return [+v.real if real else +v for v in values]
 
 
 def mordell_band(k, nus, z, tol, prec):
@@ -209,7 +221,7 @@ def mordell_band(k, nus, z, tol, prec):
         g = _exp_fixed(-3 * ru * x2, F)
         return g * c >> F, g * s >> F
 
-    return _cosh_band(k, nus, (ru, iu), gaussian, X, F, tol, prec)
+    return _cosh_band(k, nus, (ru, iu), gaussian, not iu, 0, X, F, tol, prec)
 
 
 def J(b, k, nu, z, tol, prec):
@@ -225,32 +237,57 @@ def J(b, k, nu, z, tol, prec):
         return +val
 
 
-def _truncated_integrand(b, k, nu, z, prec):
-    sq = _sqrt_fraction(b / 3, prec + 16)
-    pi = mpmath.pi
-    shift = pi * 1j * mpf(6 * nu - 1) / (6 * k)
-    w = pi * mpf(b.numerator) / (b.denominator * k * z)
+def _truncated_band(name, b, k, nu, z, lo, tol, prec):
+    """sqrt(b/3) int e^(w(1-x^2)) / cosh(i beta_nu - alpha x) dx over lo <= |x| <= X,
+    w = pi b/(k z) and alpha = pi sqrt(b/3)/k, from one _cosh_band: Jstar has
+    lo = 0 and X = 1; J_gap's tails (lo = 1, real z) get tol/4 each and stop at
+    the X where their envelope e^(-w(x-1)^2) is e^(-w) tol/4.
 
-    def integrand(x):
-        return mpmath.exp(w * (1 - x * x)) / mpmath.cosh(shift - pi * sq * x / k)
+    Error budget.  That of mordell_band with floor = |cos beta_nu| and u = alpha,
+    plus bits(|w|) for the rounding of w in the exponent, and with growth
+    ceil(log2(e) (alpha X + Re w [lo = 0])): |e^(w(1-x^2))| is at most e^(Re w)
+    on |x| <= 1 but at most 1 on the tails, and each quotient's ulp is
+    multiplied by ch <= e^(alpha X).
+    """
+    b = Fraction(b)
+    if b <= 0:
+        raise ValueError(f"{name} needs b > 0")
+    if k < 1:
+        raise ValueError("k must be positive")
+    quad_prec = prec + 16
+    with workprec(quad_prec):
+        z, tol = mpc(z), mpf(tol)
+        if z.real <= 0:
+            raise ValueError(f"{name} needs Re z > 0")
+        w = mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
+        X = 1 + mpmath.sqrt(mpmath.log(4 / tol) / w.real + 1) if lo else mpf(1)
+        tol = tol / 2 if lo else tol
+        growth = float(mpmath.pi * mpmath.sqrt(b / 3) * X / k + (0 if lo else w.real))
+        floor = cosh_path_floor(k, nu, 1, prec)
+    F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
+         + 2 * int(X).bit_length() + int(abs(w)).bit_length() + math.ceil(growth / math.log(2)))
+    with workprec(F + 16):
+        sq = _sqrt_fraction(b / 3, F + 16)
+        alpha = to_fixed((mpmath.pi * sq / k)._mpf_, F)
+        w = mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
+        wr, wi = to_fixed(w.real._mpf_, F), to_fixed(w.imag._mpf_, F)
 
-    return sq, integrand
+    def gaussian(ax):  # e^(w(1-x^2)) at F bits
+        s = (1 << F) - (ax * ax >> F)
+        c, si = _cos_sin_fixed(wi * s, F) if wi else (1 << F, 0)
+        g = _exp_fixed(wr * s, F)
+        return g * c >> F, g * si >> F
+
+    val = _cosh_band(k, [nu], (alpha, 0), gaussian, not wi, lo, X, F, tol, prec)[0]
+    with workprec(prec):
+        return +(sq * val)
 
 
 def Jstar(b, k, nu, z, tol, prec):
-    """Principal part truncation: sqrt(b/3) * int_{-1}^{1} of the wrapped kernel."""
-    b = Fraction(b)
-    if b <= 0:
-        raise ValueError("Jstar needs b > 0")
-    with workprec(prec + 16):
-        z = mpc(z)
-        if z.imag == 0:
-            z = z.real
-        sq, integrand = _truncated_integrand(b, k, nu, z, prec)
-        res = quad_finite(integrand, -1, 1, mpf(tol), prec=prec + 16)
-        val = sq * res.value
-    with workprec(prec):
-        return +val
+    """Principal part truncation: sqrt(b/3) int_{-1}^{1} e^(w(1-x^2)) / cosh(i beta_nu - alpha x)
+    dx, w = pi b/(k z) and alpha = pi sqrt(b/3)/k; requires b > 0, k >= 1 and Re z > 0.
+    Real at real z, where the band checks the imaginary residue against tol."""
+    return _truncated_band("Jstar", b, k, nu, z, 0, tol, prec)
 
 
 def J_gap(b, k, nu, z, tol, prec):
@@ -260,23 +297,9 @@ def J_gap(b, k, nu, z, tol, prec):
     Jstar integrand over the whole line, so the gap is just the two tails,
     where the exponential factor only damps.  Valid for real z > 0, b > 0.
     """
-    b = Fraction(b)
-    if b <= 0:
-        raise ValueError("J_gap needs b > 0")
-    with workprec(prec + 16):
-        z = mpf(z)
-        if z <= 0:
-            raise ValueError("J_gap needs real z > 0")
-        sq, integrand = _truncated_integrand(b, k, nu, z, prec)
-        # e^(w(1-x^2)) with w = pi*b/(kz) > 0 decays like e^(-2w(x-1)) past 1;
-        # cut where the envelope is below tol.
-        w = mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
-        X = 1 + mpmath.sqrt(mpmath.log(mpf(4) / tol) / w + 1) if w > 0 else 2
-        right = quad_finite(integrand, 1, X, mpf(tol) / 4, prec=prec + 16)
-        left = quad_finite(integrand, -X, -1, mpf(tol) / 4, prec=prec + 16)
-        val = sq * (right.value + left.value)
-    with workprec(prec):
-        return +val
+    if mpc(z).imag:
+        raise ValueError("J_gap needs real z > 0")
+    return _truncated_band("J_gap", b, k, nu, z, 1, tol, prec)
 
 
 def lemma35_gap(b, k, nu, z_values, tol=mpf("1e-12"), prec=96):
@@ -353,7 +376,7 @@ def script_I_band(b, k, nus, n, tol, prec):
         s = (1 << F) - (ax * ax >> F)
         return (factor(s) if s > 0 else 0), 0
 
-    return _cosh_band(k, nus, (alpha, 0), bessel, mpf(1), F, tol, prec)
+    return _cosh_band(k, nus, (alpha, 0), bessel, True, 0, mpf(1), F, tol, prec)
 
 
 def L_closed(k, n, y, prec):
@@ -371,41 +394,60 @@ def L_closed(k, n, y, prec):
 
 
 def L_contour(k, n, y, N, tol, prec):
-    """(1/(2*pi*i)) times the rectangle integral of e^(2*pi*n*w + 2*pi*y/(k^2 w)).
+    """(1/(2 pi i)) times the rectangle integral of e^E(w), E(w) = 2 pi n w + 2 pi y/(k^2 w).
 
-    The rectangle has corners +-1/N^2 +- i/(k(k+N)), counterclockwise, with
-    0 strictly inside.  Precision is raised automatically to survive the
-    peak of the integrand on the right edge.
+    The rectangle has corners +-a +- i beta, a = 1/N^2 and beta = 1/(k(k+N)),
+    counterclockwise, with 0 strictly inside.  It is symmetric under
+    conjugation, so the value is real; its imaginary residue is checked
+    against tol.  Each edge w0 + s seg, s in [0, 1], is one quad_panels run with
+    budget tol/8 on the nodes of _panel_nodes; a node costs one _exp_fixed and
+    one _cos_sin_fixed of E.
+
+    Error budget.  Re E peaks near 2 pi y N^2/k^2 at w = a, where the edges
+    cancel, so quad_panels runs at work = prec + peak, peak = 2 pi y N^2/(k^2 ln 2)
+    + 16 bits, and the sums carry F = work + 24 + bits(m + ceil(2 pi y/k^2) + 4)
+    + ceil(2 pi n/(N^2 ln 2)) fraction bits, m = max(N^2, k(k+N)) >= 1/|w|.  The
+    corners are truncated to F bits once, so the edges still enclose 0 and the
+    integral is unchanged; truncating s seg moves a node along its edge by at
+    most m ulp of s, which _panel_nodes bounds.  Rounding 2 pi n, 2 pi y/k^2 and
+    1/w moves E by at most (m + 2 pi y/k^2 + 4) ulp, and |e^E| < 2^(peak - 15)
+    e^(2 pi n/N^2), so each panel sum is within 2^-(prec+36) |seg| (x1 - x0) of
+    the Gauss-Legendre sum in exact arithmetic at the computed nodes and weights.
     """
     if N < 1:
         raise ValueError("degenerate rectangle")
-    # peak of Re(2*pi*y/(k^2 w)) on the contour is 2*pi*y*N^2/k^2 at w = 1/N^2
     peak_bits = int(2 * math.pi * float(y) * N * N / (k * k) / math.log(2)) + 16
     work = prec + peak_bits
+    m = max(N * N, k * (k + N))
+    F = (work + 24 + (m + math.ceil(2 * math.pi * float(y) / (k * k)) + 4).bit_length()
+         + math.ceil(2 * math.pi * n / (N * N * math.log(2))))
+    with workprec(F + 16):
+        c1 = to_fixed((2 * mpmath.pi * n)._mpf_, F)
+        c2 = to_fixed((2 * mpmath.pi * mpf(y) / (k * k))._mpf_, F)
+    a, beta = (1 << F) // (N * N), (1 << F) // (k * (k + N))
+    corners = [(a, -beta), (a, beta), (-a, beta), (-a, -beta), (a, -beta)]
+
+    def edge_sums(r0, i0, sr, si, s0, s1, npts):  # the edge (r0 + s sr) + i (i0 + s si)
+        rad, nodes = _panel_nodes(s0, s1, npts, F)
+        re = im = 0
+        for s, wt in nodes:
+            wr, wi = r0 + (s * sr >> F), i0 + (s * si >> F)
+            d = wr * wr + wi * wi
+            e = _exp_fixed(c1 * wr + c2 * ((wr << 2 * F) // d), F)
+            c, sn = _cos_sin_fixed(c1 * wi - c2 * ((wi << 2 * F) // d), F)
+            re += wt * (e * c >> F)
+            im += wt * (e * sn >> F)
+        # re and im carry 2F fraction bits; rad and seg add F each
+        return [mpc(mpf(((re * sr - im * si) * rad, -4 * F)),
+                    mpf(((re * si + im * sr) * rad, -4 * F)))]
+
     with workprec(work):
-        y = mpf(y)
-        a = mpf(1) / (N * N)
-        beta = mpf(1) / (k * (k + N))
-        corners = [
-            mpc(a, -beta),
-            mpc(a, beta),
-            mpc(-a, beta),
-            mpc(-a, -beta),
-            mpc(a, -beta),
-        ]
-        two_pi = 2 * mpmath.pi
-
-        def g(w):
-            return mpmath.exp(two_pi * n * w + two_pi * y / (k * k * w))
-
-        total = mpc(0)
-        panels = 0
-        for w0, w1 in zip(corners[:-1], corners[1:]):
-            seg = w1 - w0
-            res = quad_finite(lambda s: g(w0 + s * seg) * seg, 0, 1, mpf(tol) / 8,
-                              prec=work, max_panels=8192)
-            total += res.value
-            panels += res.subdivisions
+        total = 0
+        for (r0, i0), (r1, i1) in zip(corners, corners[1:]):
+            sums = partial(edge_sums, r0, i0, r1 - r0, i1 - i0)
+            total += quad_panels(sums, mpf(0), mpf(1), mpf(tol) / 8, work, max_panels=8192).value[0]
         val = total / (2j * mpmath.pi)
+        if abs(val.imag) > tol:
+            raise ArithmeticError("symmetry violation: imaginary residue above tol")
     with workprec(prec):
-        return +val
+        return +val.real

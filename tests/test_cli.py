@@ -4,6 +4,7 @@ JSON output."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -112,6 +113,17 @@ def test_integral_scriptI(capsys):
     assert float(rows[0]["re"]) == pytest.approx(124.96062323, rel=1e-8)
 
 
+def test_integral_scriptI_default_precision_follows_its_size(capsys):
+    # the value is -6.5e47 and --tol is absolute: 128 bits cannot resolve it
+    from circleforge.integrals import script_I_band
+    code, rows = run_cli(["integral", "--which", "scriptI", "--b", "5/12", "--k", "1",
+                          "--nu", "1", "--n", "400"], capsys)
+    assert code == 0
+    with mpmath.workprec(200):
+        val = script_I_band(Fraction(5, 12), 1, [1], 400, mpmath.mpf("1e-12"), prec=200)[0]
+        assert rows[0]["value"] == mpmath.nstr(val, 20, strip_zeros=False)
+
+
 @pytest.mark.parametrize("which, extra, b, nu, n, z, y, N", [
     pytest.param("mordell", ["--b", "5/12"], None, 2, None, "(1.0 + 0.0j)", None, None,
                  id="mordell"),
@@ -146,12 +158,19 @@ def test_integral_parses_z_at_precision_bits(capsys):
         assert rows[0]["value"] == mpmath.nstr(val, 20, strip_zeros=False)
 
 
-@pytest.mark.parametrize("which", ["mordell", "J", "Jstar"])
-def test_integral_at_real_z_prints_real_value(capsys, which):
+@pytest.mark.parametrize("which, extra", [
+    pytest.param("mordell", [], id="mordell"),
+    pytest.param("J", [], id="J"),
+    pytest.param("Jstar", [], id="Jstar"),
+    # real because the rectangle is symmetric under conjugation; at N = 16 the
+    # rounding residue of the sum over its edges is nonzero
+    pytest.param("L", ["--n", "5", "--N", "16"], id="L"),
+])
+def test_integral_at_real_z_prints_real_value(capsys, which, extra):
     # real by conjugate symmetry: the imaginary rounding residue is checked
     # against tol and not printed
     code, rows = run_cli(["integral", "--which", which, "--b", "5/12", "--k", "3", "--nu", "2",
-                          "--z", "1/2"], capsys)
+                          "--z", "1/2", *extra], capsys)
     assert code == 0
     assert "j" not in rows[0]["value"]
     assert rows[0]["value"] == rows[0]["re"]
@@ -215,6 +234,14 @@ def test_usage_error_exit_code():
                  "r=0", id="Pr_law-r-0"),
     pytest.param(["check-transform", "--law", "Pr_law", "--h", "1", "--k", "2", "--r", "-2"],
                  "r=-2", id="Pr_law-r-negative"),
+    pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "0"],
+                 "k must be positive", id="Jstar-k-0"),
+    pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "0"],
+                 "Jstar needs Re z > 0", id="Jstar-z-0"),
+    pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "-1"],
+                 "Jstar needs Re z > 0", id="Jstar-z-negative"),
+    pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "0,1"],
+                 "Jstar needs Re z > 0", id="Jstar-z-imaginary"),
 ])
 def test_usage_error_exits_2(args, message):
     proc = subprocess.run([sys.executable, "-m", "circleforge.cli", *args],
@@ -286,9 +313,16 @@ def test_imaginary_residue_exit_code(capsys, monkeypatch):
     assert captured.out == ""
     assert "error: numerical failure: symmetry violation" in captured.err
     # an integral that is real by symmetry, with a residue above --tol
-    import circleforge.cli as cli
+    import circleforge.integrals as integrals
 
-    monkeypatch.setattr(cli, "Jstar", lambda *args, **kwargs: mpmath.mpc(1, "1e-6"))
+    real_driver = integrals.quad_panels
+
+    def skewed(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        res.value[-1] += mpmath.mpc(0, "1e-6")
+        return res
+
+    monkeypatch.setattr(integrals, "quad_panels", skewed)
     code = main(["integral", "--which", "Jstar", "--b", "5/12", "--k", "3", "--z", "1/2"])
     captured = capsys.readouterr()
     assert code == 3

@@ -2,6 +2,9 @@
 certified quadrature on known integrals; the fixed-point Gauss-Legendre
 tables against the mpf rule."""
 
+import ast
+import pathlib
+
 import mpmath
 import pytest
 from mpmath import mpf, workprec
@@ -9,14 +12,12 @@ from mpmath import mpf, workprec
 from circleforge import hpnum
 from circleforge.hpnum import (
     QuadratureError,
-    _gauss_legendre_nodes,
     bessel_i32,
     bessel_i_series,
     default_precision,
     gauss_legendre_fixed,
-    quad_finite,
 )
-from reference import quad_decay
+from reference import _gauss_legendre_nodes, quad_decay, quad_finite
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -211,3 +212,23 @@ def test_gauss_legendre_fixed_raises_on_unconverged_root(monkeypatch):
                         lambda npts, x, p: (step(npts, x, p)[0] // 2,) + step(npts, x, p)[1:])
     with pytest.raises(ArithmeticError, match="did not converge"):
         hpnum._gauss_legendre_half.__wrapped__(13, 128)
+
+
+def test_package_has_one_gauss_legendre_rule_and_no_pointwise_quadrature():
+    # every quadrature in the package is quad_panels over integer panel sums on
+    # gauss_legendre_fixed; the mpf rule and quad_finite live in tests/reference.py
+    defs, mpmath_quad = set(), []
+    for path in sorted(pathlib.Path(hpnum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                defs.add(node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+                mpmath_quad += [a.name for a in node.names if a.name.startswith("quad")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("quad")
+                  and isinstance(node.value, ast.Name) and node.value.id in ("mpmath", "mp")):
+                mpmath_quad.append(f"{path.name}:{node.lineno}")
+    assert {d for d in defs if "gauss_legendre" in d} == {"gauss_legendre_fixed",
+                                                          "_gauss_legendre_half"}
+    assert {d for d in defs if d.startswith("quad") or "panel" in d} == {"quad_panels",
+                                                                         "_panel_nodes"}
+    assert mpmath_quad == []

@@ -15,7 +15,6 @@ from circleforge.hpnum import (
     bessel_factor_degree,
     bessel_i_series,
     default_precision,
-    quad_finite,
 )
 from circleforge.integrals import (
     J,
@@ -30,7 +29,10 @@ from circleforge.integrals import (
     _band_guard_bits,
 )
 from circleforge.transform import standard_grid
-from reference import mordell_I, script_I
+from reference import J_gap as J_gap_pointwise
+from reference import Jstar as Jstar_pointwise
+from reference import L_contour as L_contour_pointwise
+from reference import mordell_I, quad_finite, script_I
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -183,6 +185,86 @@ def test_gap_representation_matches_direct_difference():
         assert abs(direct - tail) < mpf("1e-20"), (k, nu)
 
 
+TRUNCATED_GRID = [(b, k, nu) for b in (Fraction(5, 12), Fraction(1, 24))
+                  for k, nu in ((1, 1), (2, 1), (5, 2), (7, 3))]
+
+
+@pytest.mark.parametrize("b, k, nu", TRUNCATED_GRID, ids=str)
+def test_truncated_bands_match_pointwise_references(b, k, nu):
+    # Jstar at real z takes the kernel's real loop and at complex z its
+    # complex one; J_gap sums two tails along z -> 0
+    tol = mpf("1e-20")
+    for z in (mpf(1) / 2, mpf("0.1"), mpc("0.8", "0.2"), mpc("0.5", "0.5")):
+        v = Jstar(b, k, nu, z, tol, prec=96)
+        assert isinstance(v, mpc) == bool(z.imag)
+        assert abs(v - Jstar_pointwise(b, k, nu, z, tol, prec=96)) < tol, z
+    for z in ("0.1", "0.01", "0.001", "1e-4"):
+        v = J_gap(b, k, nu, mpf(z), tol, prec=96)
+        assert abs(v - J_gap_pointwise(b, k, nu, mpf(z), tol, prec=96)) < tol, z
+
+
+def test_J_gap_rejects_complex_and_nonpositive_z():
+    with pytest.raises(ValueError, match="J_gap needs real z > 0"):
+        J_gap(Fraction(5, 12), 1, 1, mpc(1, 1), mpf("1e-10"), prec=PREC)
+    with pytest.raises(ValueError, match="J_gap needs Re z > 0"):
+        J_gap(Fraction(5, 12), 1, 1, 0, mpf("1e-10"), prec=PREC)
+
+
+def test_truncated_and_contour_panel_counts(monkeypatch):
+    # work pins: a later change may lower these counts, not raise them
+    import circleforge.integrals as integrals
+
+    real_driver = integrals.quad_panels
+    panels = []
+
+    def counted(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        panels.append(res.subdivisions)
+        return res
+
+    monkeypatch.setattr(integrals, "quad_panels", counted)
+    L_contour(2, 3, mpf(1) / 4, 8, mpf("1e-12"), prec=90)
+    assert sum(panels) <= 20
+    panels.clear()
+    J_gap(Fraction(5, 12), 2, 1, mpf("0.01"), mpf("1e-16"), prec=140)
+    assert sum(panels) <= 6
+
+
+@pytest.mark.parametrize("band", [
+    pytest.param(lambda: mordell_band(5, [1, 2, 3, 4, 5], mpf(1) / 2, mpf("1e-30"), prec=120),
+                 id="mordell-real-z"),
+    pytest.param(lambda: mordell_band(5, [1, 2, 3, 4, 5], mpc("0.8", "0.2"), mpf("1e-30"),
+                                      prec=120), id="mordell-complex-z"),
+    pytest.param(lambda: J_gap(Fraction(5, 12), 2, 1, mpf("0.01"), mpf("1e-16"), prec=140),
+                 id="J_gap-tails"),
+])
+def test_cosh_band_weighs_each_mirrored_node_once(monkeypatch, band):
+    # the domain is symmetric and its ends are negated exactly, whatever the
+    # global precision, so the nodes at x and -x are exact negatives and share
+    # one entry of the per-|x| memo
+    import circleforge.integrals as integrals
+
+    real_band, real_nodes = integrals._cosh_band, integrals._panel_nodes
+    nodes, weighed = [0], [0]
+
+    def counted_nodes(x0, x1, npts, F):
+        nodes[0] += npts
+        return real_nodes(x0, x1, npts, F)
+
+    def counted_band(k, nus, u, weight, *rest):
+        def counted_weight(ax):
+            weighed[0] += 1
+            return weight(ax)
+
+        return real_band(k, nus, u, counted_weight, *rest)
+
+    monkeypatch.setattr(integrals, "_panel_nodes", counted_nodes)
+    monkeypatch.setattr(integrals, "_cosh_band", counted_band)
+    with workprec(53):
+        band()
+    assert 0 < 2 * weighed[0] <= nodes[0] + 1
+
+
 def test_lemma35_rows_bounded():
     rows = lemma35_gap(Fraction(5, 12), 2, 1, [mpf(10) ** -j for j in range(1, 4)])
     gaps = [r["gap"] for r in rows]
@@ -293,15 +375,22 @@ def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
 
     def skewed(*args, **kwargs):
         res = real_driver(*args, **kwargs)
-        res.value[-1] += mpc(0, "1e-6")
+        res.value[-1] += mpc("1e-6", "1e-6")
         return res
 
     monkeypatch.setattr(integrals, "quad_panels", skewed)
     with pytest.raises(ArithmeticError):
         script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, mpf("1e-12"), prec=96)
-    # the Mordell bands run the same check at real z ...
+    # the Mordell bands, Jstar at real z and the summed tails of J_gap run the
+    # same check, and so does L_contour, where the real skew of an edge turns
+    # imaginary after the factor 1/(2 pi i) ...
     with pytest.raises(ArithmeticError):
         mordell_band(3, [1, 2, 3], mpf(1) / 2, mpf("1e-12"), prec=96)
+    for truncated in (Jstar, J_gap):
+        with pytest.raises(ArithmeticError):
+            truncated(Fraction(5, 12), 3, 2, mpf(1) / 2, mpf("1e-12"), prec=96)
+    with pytest.raises(ArithmeticError):
+        L_contour(2, 3, mpf(1) / 4, 8, mpf("1e-12"), prec=90)
     # ... and at complex z, where there is no symmetry, stay complex
     with workprec(96):
         z = mpc(mpf(4) / 5, mpf(1) / 5)
@@ -328,6 +417,15 @@ def test_L_contour_matches_closed():
         contour = L_contour(k, n, y, N, mpf("1e-12"), prec=90)
         assert abs(contour - closed) < abs(closed) * mpf("1e-10"), (k, n, y, N)
         assert abs(contour.imag) < abs(closed) * mpf("1e-10")
+
+
+def test_L_contour_matches_pointwise_reference():
+    tol = mpf("1e-12")
+    for (k, n, y, N) in ((2, 3, mpf(1) / 4, 8), (1, 2, mpf(5) / 24, 4), (3, 7, mpf("0.15"), 16)):
+        contour = L_contour(k, n, y, N, tol, prec=90)
+        assert isinstance(contour, mpf)
+        assert abs(contour - L_contour_pointwise(k, n, y, N, tol, prec=90)) < tol, (k, n, y, N)
+
 
 
 def test_L_contour_degenerate():

@@ -11,7 +11,6 @@ import pytest
 from mpmath import mpc, mpf, workprec
 
 import circleforge
-from circleforge.hpnum import quad_finite
 from circleforge.integrals import (
     J,
     J_gap,
@@ -23,7 +22,7 @@ from circleforge.integrals import (
 from circleforge.kloosterman import KloostermanSpec, modified_K
 from circleforge.rademacher import p1bar_exact
 from circleforge.transform import check_law, evaluate_series
-from reference import mordell_I, quad_decay, script_I
+from reference import mordell_I, quad_decay, quad_finite, script_I
 
 # inputs are exact binary fractions, so they are the same numbers at any
 # global precision
