@@ -79,6 +79,12 @@ def _cos_sin_fixed(t, F):  # cos and sin of t 2^-2F at F bits
     return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)]
 
 
+def _cexp_fixed(cr, ci, s, F):  # e^((cr + i ci) s 2^-2F) at F bits, as (Re, Im)
+    c, si = _cos_sin_fixed(ci * s, F) if ci else (1 << F, 0)
+    g = _exp_fixed(cr * s, F)
+    return g * c >> F, g * si >> F
+
+
 def _panel_nodes(x0, x1, npts, F):
     """rad and the nodes (mid + rad t, w) of the npts-point Gauss-Legendre rule on
     [x0, x1], as ints scaled by 2^F; rad t truncates toward zero.  The rule is
@@ -91,7 +97,7 @@ def _panel_nodes(x0, x1, npts, F):
                  for t, w in gauss_legendre_fixed(npts, F)]
 
 
-def _cosh_band(k, nus, u, weight, real_g, lo, X, F, tol, prec):
+def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
     """int g(|x|) / cosh(i beta_nu - u x) dx over lo <= |x| <= X, beta_nu = pi(6nu-1)/(6k),
     for every nu in nus, from quad_panels at prec + 16 with budget tol.  It is
     behind script_I_band, mordell_band, Jstar and J_gap; their pointwise mpf
@@ -99,19 +105,18 @@ def _cosh_band(k, nus, u, weight, real_g, lo, X, F, tol, prec):
     lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.
     u = (Re u, Im u) and the panel sums are ints scaled by 2^F, on the nodes of
     _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F, once per |x|
-    (the ends are negated exactly, so mirrored nodes share one memo entry),
-    and real_g says that Im g is 0.  The loop follows the integrand:
+    (the ends are negated exactly, so mirrored nodes share one memo entry).
+    The loop follows the integrand; real says that u and g are both real:
 
-    Real u and real g: per node one exp gives ch, sh = cosh, sinh(u x); per
+    Real: per node one exp gives ch, sh = cosh, sinh(u x); per
     (nu, node) one division gives 1/cosh(i beta - u x) = (cos beta ch + i sin beta sh)
     / (cos^2 beta + sh^2).  The values are real by conjugate symmetry; each
     imaginary residue, summed over the tails, is checked against tol.
-    Otherwise: per |x| one exp and one cos/sin give E = e^(u x) as ch, sh = 2 cosh,
+    Otherwise: per |x| one exp and, for Im u != 0, one cos/sin give E = e^(u x) as ch, sh = 2 cosh,
     2 sinh of Re(u) x rotated by Im(u) x; per (nu, node) one complex multiply and
     one division give 1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
     """
     ru, iu = u
-    real = not iu and real_g
     with workprec(F + 16):
         betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
         cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
@@ -144,7 +149,7 @@ def _cosh_band(k, nus, u, weight, real_g, lo, X, F, tol, prec):
     def node(ax):
         e = _exp_fixed(ru * ax, F)
         ch, sh = e + (e_inv := one2 // e), e - e_inv
-        c, s = _cos_sin_fixed(iu * ax, F)
+        c, s = _cos_sin_fixed(iu * ax, F) if iu else (1 << F, 0)
         return (*weight(ax), ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F))
 
     def complex_sums(x0, x1, npts):
@@ -216,10 +221,7 @@ def mordell_band(k, nus, z, tol, prec):
         ru, iu = to_fixed(u.real._mpf_, F), to_fixed(u.imag._mpf_, F)
 
     def gaussian(ax):  # e^(-3u x^2) at F bits
-        x2 = ax * ax >> F
-        c, s = _cos_sin_fixed(-3 * iu * x2, F) if iu else (1 << F, 0)
-        g = _exp_fixed(-3 * ru * x2, F)
-        return g * c >> F, g * s >> F
+        return _cexp_fixed(-3 * ru, -3 * iu, ax * ax >> F, F)
 
     return _cosh_band(k, nus, (ru, iu), gaussian, not iu, 0, X, F, tol, prec)
 
@@ -237,7 +239,7 @@ def J(b, k, nu, z, tol, prec):
         return +val
 
 
-def _truncated_band(name, b, k, nu, z, lo, tol, prec):
+def _truncated_band(b, k, nu, z, lo, tol, prec):
     """sqrt(b/3) int e^(w(1-x^2)) / cosh(i beta_nu - alpha x) dx over lo <= |x| <= X,
     w = pi b/(k z) and alpha = pi sqrt(b/3)/k, from one _cosh_band: Jstar has
     lo = 0 and X = 1; J_gap's tails (lo = 1, real z) get tol/4 each and stop at
@@ -251,15 +253,21 @@ def _truncated_band(name, b, k, nu, z, lo, tol, prec):
     """
     b = Fraction(b)
     if b <= 0:
-        raise ValueError(f"{name} needs b > 0")
+        raise ValueError("b must be positive")
     if k < 1:
         raise ValueError("k must be positive")
     quad_prec = prec + 16
+
+    def exponent():  # w
+        return mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
+
     with workprec(quad_prec):
         z, tol = mpc(z), mpf(tol)
+        if lo and z.imag:
+            raise ValueError("J_gap needs real z > 0")
         if z.real <= 0:
-            raise ValueError(f"{name} needs Re z > 0")
-        w = mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
+            raise ValueError("Re z must be positive")
+        w = exponent()
         X = 1 + mpmath.sqrt(mpmath.log(4 / tol) / w.real + 1) if lo else mpf(1)
         tol = tol / 2 if lo else tol
         growth = float(mpmath.pi * mpmath.sqrt(b / 3) * X / k + (0 if lo else w.real))
@@ -269,14 +277,11 @@ def _truncated_band(name, b, k, nu, z, lo, tol, prec):
     with workprec(F + 16):
         sq = _sqrt_fraction(b / 3, F + 16)
         alpha = to_fixed((mpmath.pi * sq / k)._mpf_, F)
-        w = mpmath.pi * mpf(b.numerator) / (b.denominator * k * z)
+        w = exponent()
         wr, wi = to_fixed(w.real._mpf_, F), to_fixed(w.imag._mpf_, F)
 
     def gaussian(ax):  # e^(w(1-x^2)) at F bits
-        s = (1 << F) - (ax * ax >> F)
-        c, si = _cos_sin_fixed(wi * s, F) if wi else (1 << F, 0)
-        g = _exp_fixed(wr * s, F)
-        return g * c >> F, g * si >> F
+        return _cexp_fixed(wr, wi, (1 << F) - (ax * ax >> F), F)
 
     val = _cosh_band(k, [nu], (alpha, 0), gaussian, not wi, lo, X, F, tol, prec)[0]
     with workprec(prec):
@@ -287,7 +292,7 @@ def Jstar(b, k, nu, z, tol, prec):
     """Principal part truncation: sqrt(b/3) int_{-1}^{1} e^(w(1-x^2)) / cosh(i beta_nu - alpha x)
     dx, w = pi b/(k z) and alpha = pi sqrt(b/3)/k; requires b > 0, k >= 1 and Re z > 0.
     Real at real z, where the band checks the imaginary residue against tol."""
-    return _truncated_band("Jstar", b, k, nu, z, 0, tol, prec)
+    return _truncated_band(b, k, nu, z, 0, tol, prec)
 
 
 def J_gap(b, k, nu, z, tol, prec):
@@ -297,9 +302,7 @@ def J_gap(b, k, nu, z, tol, prec):
     Jstar integrand over the whole line, so the gap is just the two tails,
     where the exponential factor only damps.  Valid for real z > 0, b > 0.
     """
-    if mpc(z).imag:
-        raise ValueError("J_gap needs real z > 0")
-    return _truncated_band("J_gap", b, k, nu, z, 1, tol, prec)
+    return _truncated_band(b, k, nu, z, 1, tol, prec)
 
 
 def lemma35_gap(b, k, nu, z_values, tol=mpf("1e-12"), prec=96):

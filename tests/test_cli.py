@@ -237,11 +237,11 @@ def test_usage_error_exit_code():
     pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "0"],
                  "k must be positive", id="Jstar-k-0"),
     pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "0"],
-                 "Jstar needs Re z > 0", id="Jstar-z-0"),
+                 "Re z must be positive", id="Jstar-z-0"),
     pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "-1"],
-                 "Jstar needs Re z > 0", id="Jstar-z-negative"),
+                 "Re z must be positive", id="Jstar-z-negative"),
     pytest.param(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1", "--z", "0,1"],
-                 "Jstar needs Re z > 0", id="Jstar-z-imaginary"),
+                 "Re z must be positive", id="Jstar-z-imaginary"),
 ])
 def test_usage_error_exits_2(args, message):
     proc = subprocess.run([sys.executable, "-m", "circleforge.cli", *args],
