@@ -178,10 +178,16 @@ def cmd_integral(args):
     b = _parse_fraction(args.b) if args.b else None
     if b is None and args.which in ("J", "Jstar", "scriptI"):
         raise ValueError(f"--which {args.which} needs --b")
-    if args.precision_bits is None and args.which == "scriptI":
-        # --tol is absolute and the value grows like I_1(c) < e^c, c = (2 pi/k) sqrt(2bn)
-        c = 2 * math.pi / max(args.k, 1) * math.sqrt(max(2 * b * args.n, 0))
-        prec += math.ceil(c * math.log2(math.e))
+    if args.precision_bits is None and args.which in ("scriptI", "Jstar"):
+        # --tol is absolute and the value grows like e^c: scriptI is below I_1(c) < e^c,
+        # c = (2 pi/k) sqrt(2bn), and Jstar below e^(Re w), c = Re w, w = pi b/(k z)
+        if args.which == "scriptI":
+            c = 2 * math.pi / max(args.k, 1) * math.sqrt(max(2 * b * args.n, 0))
+        else:
+            with workprec(prec):
+                z = _parse_complex(args.z)
+                c = float(mpmath.pi * z.real / abs(z) ** 2) * b / max(args.k, 1) if z.real > 0 else 0
+        prec += math.ceil(max(c, 0) * math.log2(math.e))
     y = _parse_fraction(args.y) if args.which == "L" else None
     with workprec(prec):
         # z is parsed at prec, so a decimal --z is not rounded to 53 bits first

@@ -18,7 +18,7 @@ from functools import partial
 
 import mpmath
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, mpf_shift, to_fixed, to_int
 
 from .hpnum import (
     BesselFactor,
@@ -87,11 +87,12 @@ def _cexp_fixed(cr, ci, s, F):  # e^((cr + i ci) s 2^-2F) at F bits, as (Re, Im)
 
 def _panel_nodes(x0, x1, npts, F):
     """rad and the nodes (mid + rad t, w) of the npts-point Gauss-Legendre rule on
-    [x0, x1], as ints scaled by 2^F; rad t truncates toward zero.  The rule is
+    [x0, x1], as ints scaled by 2^F; mid and rad t truncate toward zero, so the
+    nodes of [-x1, -x0] are the exact negatives of those of [x0, x1].  The rule is
     within 2^-F of the exact one and the node truncates once more, so with
     sum w = 2 it adds at most rad 2^-F (npts max|f| + 2 (1 + rad) max|f'|) per panel.
     """
-    mid = to_fixed(((x0 + x1) / 2)._mpf_, F)
+    mid = to_int(mpf_shift(((x0 + x1) / 2)._mpf_, F))
     rad = to_fixed(((x1 - x0) / 2)._mpf_, F)
     return rad, [(mid + (rad * t >> F) if t >= 0 else mid - (rad * -t >> F), w)
                  for t, w in gauss_legendre_fixed(npts, F)]
@@ -104,17 +105,25 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
     references are in tests/reference.py.  lo = 0 is the one interval [-X, X];
     lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.
     u = (Re u, Im u) and the panel sums are ints scaled by 2^F, on the nodes of
-    _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F, once per |x|
-    (the ends are negated exactly, so mirrored nodes share one memo entry).
-    The loop follows the integrand; real says that u and g are both real:
+    _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F.  memo lives for
+    this call only.  The loop follows the integrand; real says that u and g are both real:
 
-    Real: per node one exp gives ch, sh = cosh, sinh(u x); per
-    (nu, node) one division gives 1/cosh(i beta - u x) = (cos beta ch + i sin beta sh)
-    / (cos^2 beta + sh^2).  The values are real by conjugate symmetry; each
-    imaginary residue, summed over the tails, is checked against tol.
-    Otherwise: per |x| one exp and, for Im u != 0, one cos/sin give E = e^(u x) as ch, sh = 2 cosh,
-    2 sinh of Re(u) x rotated by Im(u) x; per (nu, node) one complex multiply and
-    one division give 1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
+    Real: the real part is even in x and the imaginary part odd, so each
+    distinct |x| is evaluated once.  A panel with x0 = -x1 sums its x > 0 nodes
+    with weight 2 and its middle node once; its imaginary sums are 0.  A panel
+    whose mirror [-x1, -x0] was summed before (bisection rounds symmetrically,
+    and _panel_nodes negates nodes exactly) takes the mirror's sums with the
+    imaginary part negated.  Per node one exp gives ch, sh = cosh, sinh(u |x|),
+    sh negated for x < 0; per (nu, node) one division gives
+    1/cosh(i beta - u x) = (cos beta ch + i sin beta sh) / (cos^2 beta + sh^2).
+    The imaginary sums of mirrored panels cancel only up to the rounding of
+    quad_panels' running total, so each imaginary residue, summed over the
+    tails, is still checked against tol: it exceeds tol when prec cannot
+    resolve tol against the size of the panel sums.
+    Otherwise: per |x| one exp and, for Im u != 0, one cos/sin give E = e^(u x) as
+    ch, sh = 2 cosh, 2 sinh of Re(u) x rotated by Im(u) x, memoised by |x|; per
+    (nu, node) one complex multiply and one division give
+    1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
     """
     ru, iu = u
     with workprec(F + 16):
@@ -126,25 +135,32 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
     memo = {}
 
     def real_sums(x0, x1, npts):
+        twin = memo.get((-x1, -x0, npts))
+        if twin is not None:  # the mirror panel: same real sums, imaginary ones negated
+            return [v.conjugate() for v in twin]
         rad, nodes = _panel_nodes(x0, x1, npts, F)
+        fold = x0 == -x1
         re, im = [0] * len(nus), [0] * len(nus)
         for x, w in nodes:
-            ax = abs(x)
-            g = memo.get(ax)
-            if g is None:
-                g = memo[ax] = weight(ax)[0]
-            e = _exp_fixed(ru * x, F)
+            if fold and x < 0:
+                continue
+            e = _exp_fixed(ru * abs(x), F)
             e_inv = one2 // e
-            ch = (e + e_inv) >> 1
-            sh = (e - e_inv) >> 1
+            ch, sh = (e + e_inv) >> 1, (e - e_inv) >> 1
             sh2 = sh * sh >> F
-            num = w * g
-            qs = [num // (c2 + sh2) for c2 in cos2_b]
-            re = [r + q * ch for r, q in zip(re, qs)]
-            im = [v + q * sh for v, q in zip(im, qs)]
+            num = w * weight(abs(x))[0]
+            if fold:  # x > 0 stands for x and -x: ch twice, sh cancels; x = 0 has sh = 0
+                ch, sh = ch << (x > 0), 0
+            elif x < 0:
+                sh = -sh
+            for j, c2 in enumerate(cos2_b):
+                q = num // (c2 + sh2)
+                re[j] += q * ch
+                im[j] += q * sh
         # re and im carry 2F fraction bits; cos/sin beta and rad add F each
-        return [mpc(mpf((cb * r * rad, -4 * F)), mpf((sb * v * rad, -4 * F)))
-                for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
+        memo[x0, x1, npts] = [mpc(mpf((cb * r * rad, -4 * F)), mpf((sb * v * rad, -4 * F)))
+                              for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
+        return memo[x0, x1, npts]
 
     def node(ax):
         e = _exp_fixed(ru * ax, F)

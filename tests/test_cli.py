@@ -124,6 +124,15 @@ def test_integral_scriptI_default_precision_follows_its_size(capsys):
         assert rows[0]["value"] == mpmath.nstr(val, 20, strip_zeros=False)
 
 
+def test_integral_Jstar_default_precision_follows_its_size(capsys):
+    # the value is -4.7e55, near e^(Re w) with w = pi b/(k z) = 131, and --tol is
+    # absolute: 128 bits cannot resolve it
+    code, rows = run_cli(["integral", "--which", "Jstar", "--b", "5/12", "--k", "1",
+                          "--z", "0.01"], capsys)
+    assert code == 0
+    assert rows[0]["value"] == "-4.6886650398111810820e+55"
+
+
 @pytest.mark.parametrize("which, extra, b, nu, n, z, y, N", [
     pytest.param("mordell", ["--b", "5/12"], None, 2, None, "(1.0 + 0.0j)", None, None,
                  id="mordell"),

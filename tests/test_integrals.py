@@ -240,16 +240,19 @@ def test_truncated_and_contour_panel_counts(monkeypatch):
 ])
 def test_cosh_band_weighs_each_mirrored_node_once(monkeypatch, band):
     # the domain is symmetric and its ends are negated exactly, whatever the
-    # global precision, so the nodes at x and -x are exact negatives and share
-    # one entry of the per-|x| memo
+    # global precision, so the nodes at x and -x are exact negatives: the real
+    # loop folds or reuses them, the complex loop shares one entry of its memo
     import circleforge.integrals as integrals
 
-    real_band, real_nodes = integrals._cosh_band, integrals._panel_nodes
+    real_band, real_driver = integrals._cosh_band, integrals.quad_panels
     nodes, weighed = [0], [0]
 
-    def counted_nodes(x0, x1, npts, F):
-        nodes[0] += npts
-        return real_nodes(x0, x1, npts, F)
+    def counted_driver(panel_sums, *args, **kwargs):
+        def counted_sums(x0, x1, npts):
+            nodes[0] += npts
+            return panel_sums(x0, x1, npts)
+
+        return real_driver(counted_sums, *args, **kwargs)
 
     def counted_band(k, nus, u, weight, *rest):
         def counted_weight(ax):
@@ -258,11 +261,41 @@ def test_cosh_band_weighs_each_mirrored_node_once(monkeypatch, band):
 
         return real_band(k, nus, u, counted_weight, *rest)
 
-    monkeypatch.setattr(integrals, "_panel_nodes", counted_nodes)
+    monkeypatch.setattr(integrals, "quad_panels", counted_driver)
     monkeypatch.setattr(integrals, "_cosh_band", counted_band)
     with workprec(53):
         band()
     assert 0 < 2 * weighed[0] <= nodes[0] + 1
+
+
+def test_real_cosh_band_exp_pin(monkeypatch):
+    # work pin: one exp per distinct |x| for the Gaussian and one for cosh/sinh;
+    # a later change may lower it, never raise it
+    import circleforge.integrals as integrals
+
+    calls = [0]
+    real_exp = integrals._exp_fixed
+
+    def counted(t, F):
+        calls[0] += 1
+        return real_exp(t, F)
+
+    monkeypatch.setattr(integrals, "_exp_fixed", counted)
+    mordell_band(5, [1, 2, 3, 4, 5], mpf(1) / 2, mpf("1e-30"), prec=120)
+    assert calls[0] == 1540
+
+
+def test_panel_nodes_of_the_mirror_panel_are_exact_negatives():
+    # mid = 2/3 is not dyadic and carries more bits than F = 150, so flooring it
+    # would shift the nodes of the mirror panel by 1 ulp
+    from circleforge.integrals import _panel_nodes
+
+    with workprec(200):
+        a, b = mpf(1) / 3, mpf(1)
+        rad, nodes = _panel_nodes(a, b, 13, 150)
+        mirror_rad, mirror_nodes = _panel_nodes(-b, -a, 13, 150)
+    assert mirror_rad == rad
+    assert mirror_nodes == [(-x, w) for x, w in reversed(nodes)]
 
 
 def test_lemma35_rows_bounded():

@@ -200,8 +200,10 @@ def test_bessel_call_count_pin(monkeypatch):
 
     calls = []
     panels = []
+    exps = []
     real_factor = hpnum.BesselFactor.__call__
     real_driver = integrals.quad_panels
+    real_exp = integrals._exp_fixed
 
     def counted(self, s):
         calls.append(s)
@@ -212,11 +214,17 @@ def test_bessel_call_count_pin(monkeypatch):
         panels.append(res.subdivisions)
         return res
 
+    def counted_exp(t, F):
+        exps.append(t)
+        return real_exp(t, F)
+
     monkeypatch.setattr(hpnum.BesselFactor, "__call__", counted)
     monkeypatch.setattr(integrals, "quad_panels", counted_panels)
+    monkeypatch.setattr(integrals, "_exp_fixed", counted_exp)
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
     assert len(calls) == 858
     assert sum(panels) == 26
+    assert len(exps) == 858  # one exp per distinct |x|, as for the Bessel factor
 
 
 def test_band_panels_converge_on_workload_inputs(monkeypatch):
