@@ -5,8 +5,9 @@ checks, range verification and a self-test.
 Reports are JSON lines with fixed key order and decimal-string numerics,
 so identical invocations produce byte-identical output.  Exit codes:
 0 = pass, 1 = mismatch or failed check, 2 = usage error, 3 = numerical
-failure (a quadrature that exhausted its subdivision budget, or an
-imaginary residue above tolerance where the exact value is real).
+failure (a quadrature that exhausted its subdivision budget, an imaginary
+residue above tolerance where the exact value is real, or a Kloosterman
+weight of the formula that is not exactly real).
 
 Working precision comes from --precision-bits, then the environment
 (CIRCLEFORGE_PREC), then each command's default.
@@ -118,14 +119,12 @@ def cmd_enumerate(args):
 def cmd_exact(args):
     n = args.n
     prec = args.precision_bits or default_precision(n)
-    tol = mpf(args.tol)
-    with workprec(prec):
-        if args.rademacher:
-            res = p_rademacher(n, kmax=args.kmax, prec=prec)
-            oracle = qseries.named_series("P", n).coefficient(n)
-        else:
-            res = p1bar_exact(n, kmax=args.kmax, tol=tol, prec=prec)
-            oracle = qseries.named_series("G1", n).coefficient(n)
+    if args.rademacher:
+        res = p_rademacher(n, kmax=args.kmax, prec=prec)
+        oracle = qseries.named_series("P", n).coefficient(n)
+    else:
+        res = p1bar_exact(n, kmax=args.kmax, tol=mpf(args.tol), prec=prec)
+        oracle = qseries.named_series("G1", n).coefficient(n)
     row = res.to_json_dict(oracle)
     _emit(row)
     return 0 if row["match"] else 1
@@ -134,8 +133,7 @@ def cmd_exact(args):
 def cmd_asymptotic(args):
     n = args.n
     prec = args.precision_bits or default_precision(n)
-    with workprec(prec):
-        val = p1bar_asymptotic(n, prec=prec)
+    val = p1bar_asymptotic(n, prec=prec)
     _emit({"n": n, "asymptotic": _nstr(val)})
     return 0
 
@@ -155,8 +153,7 @@ def cmd_kloosterman(args):
         )
         sv = rewritten_classical_form(spec) if args.rewrite else modified_K(spec)
     prec = args.precision_bits or 128
-    with workprec(prec):
-        val = sv.value(prec)
+    val = sv.value(prec)
     _emit({
         "family": args.family,
         "d": args.d,

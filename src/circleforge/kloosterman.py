@@ -166,7 +166,8 @@ class SumValue:
     residue order, and `SumValue(terms=...)` builds a sum from such a list.
     `value(prec)` evaluates at prec bits with one cos/sin per distinct
     root and precision, shared by all sums; a sum that is exactly zero
-    evaluates to exactly 0.
+    evaluates to exactly 0.  `real_value(prec)` is the real part of a sum
+    that equals its conjugate exactly, and raises ArithmeticError otherwise.
     """
 
     __slots__ = ("modulus", "counts", "term_count")
@@ -198,6 +199,11 @@ class SumValue:
                 g = math.gcd(2 * r, self.modulus)
                 total += self.counts[r] * _root(2 * r // g, self.modulus // g, prec)
             return total
+
+    def real_value(self, prec):
+        if not self.equals(self.conjugate()):
+            raise ArithmeticError(f"{self!r} is not real")
+        return self.value(prec).real
 
     def __neg__(self):
         n = self.modulus

@@ -339,6 +339,66 @@ def test_imaginary_residue_exit_code(capsys, monkeypatch):
     assert "error: numerical failure: symmetry violation" in captured.err
 
 
+def test_non_real_weight_exit_code(capsys, monkeypatch):
+    import circleforge.rademacher as rademacher
+    from circleforge.kloosterman import SumValue
+
+    # one summand e^(2 pi i/4) = i: a weight that is not real
+    monkeypatch.setattr(rademacher, "modified_K", lambda spec: SumValue(modulus=4, counts={1: 1}))
+    code = main(["exact", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure" in captured.err
+
+
+def test_low_precision_band_exits_3(capsys):
+    # 120 bits cannot resolve the tolerance against the size of the bands
+    # at n = 1000, so a band's imaginary-residue check fails
+    code = main(["--precision-bits", "120", "exact", "--n", "1000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure: symmetry violation" in captured.err
+
+
+_FROZEN_ROWS = {
+    ("exact", "--n", "55"): [
+        '{"n": 55, "value": "6052930.0696236902448", "rounded": 6052930, "oracle": 6052930, "match": true, "dist": "0.0696237", "kmax": 18, "tail": "0.0196267", "flagged": false}',
+    ],
+    ("exact", "--n", "105"): [
+        '{"n": 105, "value": "11053718759.912077228", "rounded": 11053718760, "oracle": 11053718760, "match": true, "dist": "0.0879228", "kmax": 21, "tail": "0.000546897", "flagged": false}',
+    ],
+    ("exact", "--n", "500", "--rademacher"): [
+        '{"n": 500, "value": "2.3001650325743239950e+21", "rounded": 2300165032574323995027, "oracle": 2300165032574323995027, "match": true, "dist": "0.000357968", "kmax": 33, "tail": "0.0", "flagged": false}',
+    ],
+    ("verify", "--from", "1", "--to", "12", "--kmax", "10"): [
+        '{"n": 1, "value": "1.9130677716575551387", "rounded": 2, "oracle": 2, "match": true, "dist": "0.0869322", "kmax": 10, "tail": "0.0643634", "flagged": false}',
+        '{"n": 2, "value": "3.9725212902744318271", "rounded": 4, "oracle": 4, "match": true, "dist": "0.0274787", "kmax": 10, "tail": "0.0349146", "flagged": false}',
+        '{"n": 3, "value": "6.1803932184351640416", "rounded": 6, "oracle": 6, "match": true, "dist": "0.180393", "kmax": 10, "tail": "0.113978", "flagged": false}',
+        '{"n": 4, "value": "11.899392800438561676", "rounded": 12, "oracle": 12, "match": true, "dist": "0.100607", "kmax": 10, "tail": "0.00612993", "flagged": false}',
+        '{"n": 5, "value": "17.836148347842851842", "rounded": 18, "oracle": 18, "match": true, "dist": "0.163852", "kmax": 10, "tail": "0.0155056", "flagged": false}',
+        '{"n": 6, "value": "29.993807456606840168", "rounded": 30, "oracle": 30, "match": true, "dist": "0.00619254", "kmax": 10, "tail": "0.0766489", "flagged": false}',
+        '{"n": 7, "value": "44.113366951409119972", "rounded": 44, "oracle": 44, "match": true, "dist": "0.113367", "kmax": 10, "tail": "0.0414229", "flagged": false}',
+        '{"n": 8, "value": "68.203743132907533783", "rounded": 68, "oracle": 68, "match": true, "dist": "0.203743", "kmax": 10, "tail": "0.134792", "flagged": false}',
+        '{"n": 9, "value": "97.835858399906054603", "rounded": 98, "oracle": 98, "match": true, "dist": "0.164142", "kmax": 10, "tail": "0.00698901", "flagged": false}',
+        '{"n": 10, "value": "146.01675904260174401", "rounded": 146, "oracle": 146, "match": true, "dist": "0.0167590", "kmax": 10, "tail": "0.0176811", "flagged": false}',
+        '{"n": 11, "value": "204.02279705810986340", "rounded": 204, "oracle": 204, "match": true, "dist": "0.0227971", "kmax": 10, "tail": "0.0905099", "flagged": false}',
+        '{"n": 12, "value": "293.85864945230737624", "rounded": 294, "oracle": 294, "match": true, "dist": "0.141351", "kmax": 10, "tail": "0.0487553", "flagged": false}',
+        '{"summary": true, "mismatches": 0, "max_distance": 0.2037431329075338, "ok": true}',
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(_FROZEN_ROWS), ids=" ".join)
+def test_rows_are_frozen(capsys, args):
+    # byte-identical full stdout: a change that moves one of these rows
+    # must say which and why
+    code = main(list(args))
+    assert code == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in _FROZEN_ROWS[args])
+
+
 def test_verify_rows_report_flagged(capsys):
     code, rows = run_cli(["verify", "--from", "3", "--to", "4", "--kmax", "8"], capsys)
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mpf, workprec
 
 from circleforge.hpnum import default_precision
-from circleforge.kloosterman import KloostermanSpec, modified_K
+from circleforge.kloosterman import A_k, KloostermanSpec, _rewrite_data, modified_K
 from circleforge.qseries import named_series
 from circleforge.rademacher import (
     default_kmax,
@@ -77,8 +77,24 @@ def test_p1bar_exact_small():
         res = p1bar_exact(n, kmax=12)
         assert res.rounded == g1.coefficient(n), n
         assert res.distance_to_integer < mpf("0.5")
-        assert res.imag_residue < mpf("1e-10")
     assert p1bar_exact(4, kmax=12).rounded == 12
+    # the assembly is real because every weight it reads equals its
+    # conjugate exactly: the j=2 modified sums of both bands and A_k(n)
+    for n in (1, 7, 55, 400):
+        for k in range(1, 61):
+            d = math.gcd(4, k)
+            if d == 4:
+                continue
+            for nu in range(1, k + 1):
+                spec = KloostermanSpec("modified", k, n, d=d, j=2, nu=nu)
+                sv = modified_K(spec)
+                assert sv.equals(sv.conjugate()), (n, k, nu)
+                # the classical form's prefactor e^(i pi pref/(12k)) is +-1
+                assert _rewrite_data(spec)[0] % (12 * k) == 0, (n, k, nu)
+    for n in (1, 7, 500):
+        for k in range(1, 61):
+            ak = A_k(k, n)
+            assert ak.equals(ak.conjugate()), (n, k)
 
 
 def test_p1bar_exact_validation():
