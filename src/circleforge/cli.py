@@ -5,9 +5,10 @@ checks, range verification and a self-test.
 Reports are JSON lines with fixed key order and decimal-string numerics,
 so identical invocations produce byte-identical output.  Exit codes:
 0 = pass, 1 = mismatch or failed check, 2 = usage error, 3 = numerical
-failure (a quadrature that exhausted its subdivision budget, an imaginary
-residue above tolerance where the exact value is real, or a Kloosterman
-weight of the formula that is not exactly real).
+failure (a quadrature that exhausted its subdivision budget, a band value
+too large for its precision to carry the tolerance, an imaginary residue
+above tolerance in the residue contour L, the only integral that checks
+one, or a Kloosterman weight of the formula that is not exactly real).
 
 Working precision comes from --precision-bits, then the environment
 (CIRCLEFORGE_PREC), then each command's default.

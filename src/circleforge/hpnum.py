@@ -5,10 +5,12 @@ Scalars are mpmath mpf/mpc; every routine takes the working precision
 explicitly (bits) and never depends on the global mpmath state it was
 called under.  Quadrature is one adaptive driver, `quad_panels`: bisection
 with an embedded pair of Gauss-Legendre rules, where panels are accepted
-when the rule difference is within the local error budget, so the
-reported error estimate bounds the discretization error of the accepted
-value.  The driver takes the panel sums as a function, one sum per
-component, and accepts a panel only when every component meets its budget.
+when the rule difference is within the local error budget.  The reported
+error estimate, the sum of those differences, is an empirical estimate of
+the discretization error for integrands smooth on each panel, not a bound:
+a jump inside a panel can hide from it.  The driver takes the panel sums
+as a function, one sum per component, and accepts a panel only when every
+component meets its budget.
 Every integral of the package supplies its panel sums in Python-integer
 fixed point, from `gauss_legendre_fixed` (the rule built on ints) and, for
 the main-term bands, `BesselFactor` (sqrt(s) I_1(c sqrt(s)) as a

@@ -108,39 +108,40 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
     _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F.  memo lives for
     this call only.  The loop follows the integrand; real says that u and g are both real:
 
-    Real: the real part is even in x and the imaginary part odd, so each
-    distinct |x| is evaluated once.  A panel with x0 = -x1 sums its x > 0 nodes
-    with weight 2 and its middle node once; its imaginary sums are 0.  A panel
-    whose mirror [-x1, -x0] was summed before (bisection rounds symmetrically,
-    and _panel_nodes negates nodes exactly) takes the mirror's sums with the
-    imaginary part negated.  Per node one exp gives ch, sh = cosh, sinh(u |x|),
-    sh negated for x < 0; per (nu, node) one division gives
-    1/cosh(i beta - u x) = (cos beta ch + i sin beta sh) / (cos^2 beta + sh^2).
-    The imaginary sums of mirrored panels cancel only up to the rounding of
-    quad_panels' running total, so each imaginary residue, summed over the
-    tails, is still checked against tol: it exceeds tol when prec cannot
-    resolve tol against the size of the panel sums.
+    Real: the real part is even in x and the imaginary part odd, so the
+    integral is real and only the real sums are kept, and each distinct |x| is
+    evaluated once.  A panel with x0 = -x1 sums its x > 0 nodes with weight 2
+    and its middle node once.  A panel whose mirror [-x1, -x0] was summed before
+    (bisection rounds symmetrically, and _panel_nodes negates nodes exactly)
+    returns the mirror's sums.  Per node one exp gives ch, sh = cosh, sinh(u |x|);
+    per (nu, node) one division gives
+    Re 1/cosh(i beta - u x) = cos beta ch / (cos^2 beta + sh^2).
     Otherwise: per |x| one exp and, for Im u != 0, one cos/sin give E = e^(u x) as
     ch, sh = 2 cosh, 2 sinh of Re(u) x rotated by Im(u) x, memoised by |x|; per
     (nu, node) one complex multiply and one division give
     1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
+
+    Each value v comes from quad_panels at prec + 16 bits, so it carries tol
+    only if |v| 2^-(prec+16) <= tol; otherwise ArithmeticError.
     """
     ru, iu = u
     with workprec(F + 16):
         betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
         cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
-        sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
-        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
+        if real:
+            cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
+        else:
+            sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
     one2 = 1 << (2 * F)
     memo = {}
 
     def real_sums(x0, x1, npts):
         twin = memo.get((-x1, -x0, npts))
-        if twin is not None:  # the mirror panel: same real sums, imaginary ones negated
-            return [v.conjugate() for v in twin]
+        if twin is not None:  # the mirror panel: the real part is even in x
+            return twin
         rad, nodes = _panel_nodes(x0, x1, npts, F)
         fold = x0 == -x1
-        re, im = [0] * len(nus), [0] * len(nus)
+        re = [0] * len(nus)
         for x, w in nodes:
             if fold and x < 0:
                 continue
@@ -149,17 +150,12 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
             ch, sh = (e + e_inv) >> 1, (e - e_inv) >> 1
             sh2 = sh * sh >> F
             num = w * weight(abs(x))[0]
-            if fold:  # x > 0 stands for x and -x: ch twice, sh cancels; x = 0 has sh = 0
-                ch, sh = ch << (x > 0), 0
-            elif x < 0:
-                sh = -sh
+            if fold:  # x > 0 stands for x and -x
+                ch <<= x > 0
             for j, c2 in enumerate(cos2_b):
-                q = num // (c2 + sh2)
-                re[j] += q * ch
-                im[j] += q * sh
-        # re and im carry 2F fraction bits; cos/sin beta and rad add F each
-        memo[x0, x1, npts] = [mpc(mpf((cb * r * rad, -4 * F)), mpf((sb * v * rad, -4 * F)))
-                              for cb, sb, r, v in zip(cos_b, sin_b, re, im)]
+                re[j] += num // (c2 + sh2) * ch
+        # re carries 2F fraction bits; cos beta and rad add F each
+        memo[x0, x1, npts] = [mpf((cb * r * rad, -4 * F)) for cb, r in zip(cos_b, re)]
         return memo[x0, x1, npts]
 
     def node(ax):
@@ -194,10 +190,10 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
         parts = [quad_panels(real_sums if real else complex_sums, a, b, tol / len(spans),
                              prec + 16).value for a, b in spans]
         values = [sum(vs) for vs in zip(*parts)]
-        if real and any(abs(v.imag) > tol for v in values):
-            raise ArithmeticError("symmetry violation: imaginary residue above tol")
+        if any(mpmath.ldexp(abs(v), -(prec + 16)) > tol for v in values):
+            raise ArithmeticError(f"precision too low: {prec} + 16 bits cannot carry tol")
     with workprec(prec):
-        return [+v.real if real else +v for v in values]
+        return [+v for v in values]
 
 
 def mordell_band(k, nus, z, tol, prec):
@@ -307,7 +303,7 @@ def _truncated_band(b, k, nu, z, lo, tol, prec):
 def Jstar(b, k, nu, z, tol, prec):
     """Principal part truncation: sqrt(b/3) int_{-1}^{1} e^(w(1-x^2)) / cosh(i beta_nu - alpha x)
     dx, w = pi b/(k z) and alpha = pi sqrt(b/3)/k; requires b > 0, k >= 1 and Re z > 0.
-    Real at real z, where the band checks the imaginary residue against tol."""
+    Real at real z, where the band sums only real parts."""
     return _truncated_band(b, k, nu, z, 0, tol, prec)
 
 

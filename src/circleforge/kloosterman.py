@@ -161,9 +161,7 @@ class SumValue:
     """Value of a Kloosterman-type sum: counts of roots of unity.
 
     `counts[r]` summands equal e^(2*pi*i*r/modulus); a sum at modulus k has
-    modulus 24k.  Every sum is exact, so `exact` is always True.  `terms`
-    lists the summands as exponents t in [0, 2), meaning e^(i*pi*t), in
-    residue order, and `SumValue(terms=...)` builds a sum from such a list.
+    modulus 24k.  Every sum is exact, so `exact` is always True.
     `value(prec)` evaluates at prec bits with one cos/sin per distinct
     root and precision, shared by all sums; a sum that is exactly zero
     evaluates to exactly 0.  `real_value(prec)` is the real part of a sum
@@ -173,22 +171,10 @@ class SumValue:
     __slots__ = ("modulus", "counts", "term_count")
     exact = True
 
-    def __init__(self, terms=(), modulus=None, counts=None):
-        if counts is None:
-            terms = [Fraction(t) % 2 for t in terms]
-            modulus = math.lcm(2, *(2 * t.denominator for t in terms))
-            counts = {}
-            for t in terms:
-                r = t.numerator * modulus // (2 * t.denominator)
-                counts[r] = counts.get(r, 0) + 1
+    def __init__(self, modulus, counts):
         self.modulus = modulus
         self.counts = counts
         self.term_count = sum(counts.values())
-
-    @property
-    def terms(self):
-        return tuple(Fraction(2 * r, self.modulus)
-                     for r in sorted(self.counts) for _ in range(self.counts[r]))
 
     def value(self, prec):
         with mpmath.workprec(prec):

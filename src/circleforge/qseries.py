@@ -140,16 +140,6 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def compose_power(self, r):
-        """Substitute q -> q^r for an integer r >= 1."""
-        if r < 1:
-            raise ValueError("compose_power requires r >= 1")
-        m = self.order
-        out = [0] * (m + 1)
-        for j in range(m // r + 1):
-            out[j * r] = self.coeffs[j]
-        return TruncatedSeries(out, m)
-
     def alternate(self):
         """Substitute q -> -q (coefficientwise sign twist)."""
         return TruncatedSeries(

@@ -176,8 +176,7 @@ def test_integral_parses_z_at_precision_bits(capsys):
     pytest.param("L", ["--n", "5", "--N", "16"], id="L"),
 ])
 def test_integral_at_real_z_prints_real_value(capsys, which, extra):
-    # real by conjugate symmetry: the imaginary rounding residue is checked
-    # against tol and not printed
+    # real by conjugate symmetry: the value prints without an imaginary part
     code, rows = run_cli(["integral", "--which", which, "--b", "5/12", "--k", "3", "--nu", "2",
                           "--z", "1/2", *extra], capsys)
     assert code == 0
@@ -312,27 +311,28 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 def test_imaginary_residue_exit_code(capsys, monkeypatch):
     import circleforge.rademacher as rademacher
 
-    def skewed_band(*args, **kwargs):
-        raise ArithmeticError("symmetry violation: imaginary residue above tol")
+    def failing_band(*args, **kwargs):
+        raise ArithmeticError("precision too low: 96 + 16 bits cannot carry tol")
 
-    monkeypatch.setattr(rademacher, "script_I_band", skewed_band)
+    monkeypatch.setattr(rademacher, "script_I_band", failing_band)
     code = main(["exact", "--n", "4"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "error: numerical failure: symmetry violation" in captured.err
-    # an integral that is real by symmetry, with a residue above --tol
+    assert "error: numerical failure: precision too low" in captured.err
+    # an integral that is real by symmetry, with a residue above --tol: the
+    # real skew of an edge of L's rectangle turns imaginary after 1/(2 pi i)
     import circleforge.integrals as integrals
 
     real_driver = integrals.quad_panels
 
     def skewed(*args, **kwargs):
         res = real_driver(*args, **kwargs)
-        res.value[-1] += mpmath.mpc(0, "1e-6")
+        res.value[-1] += mpmath.mpc("1e-6", "1e-6")
         return res
 
     monkeypatch.setattr(integrals, "quad_panels", skewed)
-    code = main(["integral", "--which", "Jstar", "--b", "5/12", "--k", "3", "--z", "1/2"])
+    code = main(["integral", "--which", "L", "--k", "3", "--n", "5", "--N", "16"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -354,12 +354,23 @@ def test_non_real_weight_exit_code(capsys, monkeypatch):
 
 def test_low_precision_band_exits_3(capsys):
     # 120 bits cannot resolve the tolerance against the size of the bands
-    # at n = 1000, so a band's imaginary-residue check fails
+    # at n = 1000, so a band's precision check fails
     code = main(["--precision-bits", "120", "exact", "--n", "1000"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "error: numerical failure: symmetry violation" in captured.err
+    assert "error: numerical failure: precision too low" in captured.err
+
+
+def test_low_precision_Jstar_exits_3(capsys):
+    # Jstar is about -3.4e10 here, so 64 + 16 bits resolve it only to about
+    # 1e-13, far above --tol 1e-20: no value is printed
+    code = main(["--precision-bits", "64", "integral", "--which", "Jstar", "--b", "5/12",
+                 "--k", "1", "--z", "0.05", "--tol", "1e-20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: numerical failure: precision too low" in captured.err
 
 
 _FROZEN_ROWS = {

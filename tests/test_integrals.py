@@ -401,9 +401,26 @@ def test_quad_finite_bit_identical_after_driver_refactor():
         assert v == mpc(*MORDELL_2_1_HALF)
 
 
-def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
+def test_bands_check_tol_against_their_precision(monkeypatch):
     import circleforge.integrals as integrals
 
+    # a band value is computed at prec + 16 bits, so a tol below its rounding
+    # cannot be met: script_I_band, the Mordell bands at real and complex z,
+    # Jstar at real z and the summed tails of J_gap raise ...
+    tol = mpf("1e-40")
+    with workprec(96):
+        z = mpc(mpf(4) / 5, mpf(1) / 5)
+    with pytest.raises(ArithmeticError, match="precision too low"):
+        script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, tol, prec=96)
+    for w in (mpf(1) / 2, z):
+        with pytest.raises(ArithmeticError, match="precision too low"):
+            mordell_band(3, [1, 2, 3], w, tol, prec=96)
+    for truncated in (Jstar, J_gap):
+        with pytest.raises(ArithmeticError, match="precision too low"):
+            truncated(Fraction(5, 12), 3, 2, mpf(1) / 2, tol, prec=96)
+    # ... L_contour, whose edges are not mirrored node for node, checks its
+    # imaginary residue, and the real skew of an edge turns imaginary after
+    # the factor 1/(2 pi i) ...
     real_driver = integrals.quad_panels
 
     def skewed(*args, **kwargs):
@@ -412,22 +429,42 @@ def test_script_I_band_checks_each_imaginary_residue(monkeypatch):
         return res
 
     monkeypatch.setattr(integrals, "quad_panels", skewed)
-    with pytest.raises(ArithmeticError):
-        script_I_band(Fraction(1, 24), 3, [1, 2, 3], 4, mpf("1e-12"), prec=96)
-    # the Mordell bands, Jstar at real z and the summed tails of J_gap run the
-    # same check, and so does L_contour, where the real skew of an edge turns
-    # imaginary after the factor 1/(2 pi i) ...
-    with pytest.raises(ArithmeticError):
-        mordell_band(3, [1, 2, 3], mpf(1) / 2, mpf("1e-12"), prec=96)
-    for truncated in (Jstar, J_gap):
-        with pytest.raises(ArithmeticError):
-            truncated(Fraction(5, 12), 3, 2, mpf(1) / 2, mpf("1e-12"), prec=96)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="symmetry violation"):
         L_contour(2, 3, mpf(1) / 4, 8, mpf("1e-12"), prec=90)
     # ... and at complex z, where there is no symmetry, stay complex
-    with workprec(96):
-        z = mpc(mpf(4) / 5, mpf(1) / 5)
     assert all(isinstance(v, mpc) for v in mordell_band(3, [1, 2, 3], z, mpf("1e-12"), prec=96))
+
+
+@pytest.mark.parametrize("band", [
+    pytest.param(lambda: script_I_band(Fraction(5, 12), 2, [1, 2], 55, mpf("1e-12"), prec=110),
+                 id="script_I"),
+    pytest.param(lambda: mordell_band(5, [1, 2, 3, 4, 5], mpf(1) / 2, mpf("1e-30"), prec=120),
+                 id="mordell-real-z"),
+    pytest.param(lambda: J_gap(Fraction(5, 12), 2, 1, mpf("0.01"), mpf("1e-16"), prec=140),
+                 id="J_gap-tails"),
+])
+def test_real_loop_sums_are_real_and_shared_by_mirror_panels(monkeypatch, band):
+    # the real loop keeps only real sums, and a panel whose mirror was summed
+    # before returns the mirror's sums themselves
+    import circleforge.integrals as integrals
+
+    real_driver = integrals.quad_panels
+    seen = {}
+
+    def recording_driver(panel_sums, *args, **kwargs):
+        def recorded(x0, x1, npts):
+            seen[x0, x1, npts] = panel_sums(x0, x1, npts)
+            return seen[x0, x1, npts]
+
+        return real_driver(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(integrals, "quad_panels", recording_driver)
+    band()
+    assert all(type(v) is mpf for sums in seen.values() for v in sums)
+    mirrored = [((x0, x1, npts), (-x1, -x0, npts)) for x0, x1, npts in seen
+                if x0 >= 0 and (-x1, -x0, npts) in seen]
+    assert mirrored
+    assert all(seen[panel] is seen[twin] for panel, twin in mirrored)
 
 
 def test_script_I_band_validation():

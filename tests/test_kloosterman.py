@@ -247,7 +247,7 @@ def test_equals_returns_bool():
     a = classical_K(12, 0, 0)  # the Ramanujan sum c_12(0) = 4
     same_counts = a.equals(classical_K(12, 0, 0))
     # same sum at another modulus: decided by the cyclotomic reduction
-    reduced = classical_K(1, 0, 0).equals(SumValue(terms=[0]))
+    reduced = classical_K(1, 0, 0).equals(SumValue(modulus=2, counts={0: 1}))
     differs = a.equals(classical_K(12, 1, 0))  # c_12(1) = 0
     assert (same_counts, reduced, differs) == (True, True, False)
     assert all(type(x) is bool for x in (same_counts, reduced, differs))
@@ -256,5 +256,6 @@ def test_equals_returns_bool():
 def test_sumvalue_neg_and_zero():
     sv = classical_K(5, 1, 1)
     assert (-(-sv)).equals(sv)
-    diff_terms = list(sv.terms) + [(t + 1) % 2 for t in sv.terms]
-    assert SumValue(terms=diff_terms).is_zero()
+    neg = -sv
+    merged = {r: sv.counts.get(r, 0) + neg.counts.get(r, 0) for r in {*sv.counts, *neg.counts}}
+    assert SumValue(modulus=sv.modulus, counts=merged).is_zero()

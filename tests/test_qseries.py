@@ -27,13 +27,6 @@ def test_mul_difference_of_squares():
     assert (a * b).coeffs == [1, 0, -1]
 
 
-def test_compose_power():
-    s = TruncatedSeries([1, 1, 0, 0, 0])
-    assert s.compose_power(2).coeffs == [1, 0, 1, 0, 0]
-    with pytest.raises(ValueError):
-        s.compose_power(0)
-
-
 def test_invert_requires_unit():
     with pytest.raises(ValueError, match="not invertible"):
         TruncatedSeries([2, 1, 1]).inverse()
