@@ -56,6 +56,9 @@ def _emit(row):
 
 
 def _nstr(x, digits=20):
+    if isinstance(x, mpmath.mpc):  # nstr would strip trailing zeros inside an mpc
+        re, im = _nstr(x.real, digits), _nstr(x.imag, digits)
+        return f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)"
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 

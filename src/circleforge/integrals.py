@@ -2,8 +2,9 @@
 principal-part-truncated forms, the Bessel-weighted main-term integrals, and
 the residue/contour pair for the rectangle integral.  The per-nu Mordell and
 main-term integrals of one k and the truncated integrals are bands of one
-fixed-point kernel (_cosh_band behind mordell_band, script_I_band, Jstar and
-J_gap); L_contour sums its edges on the same fixed-point nodes.
+fixed-point kernel with one loop (_cosh_band behind mordell_band, script_I_band,
+Jstar and J_gap): cosh has a real argument on every band's path, mordell_band's
+turned at complex z.  L_contour sums its edges on the same fixed-point nodes.
 
 Parameter b is threaded through as an exact Fraction (the values that occur
 are -1/12, 1/24 and 5/12); it only becomes a float inside sqrt(b/3) at the
@@ -30,7 +31,6 @@ from .hpnum import (
 )
 
 __all__ = [
-    "cosh_path_floor",
     "mordell_band",
     "J",
     "Jstar",
@@ -47,28 +47,10 @@ def _sqrt_fraction(b, prec):
         return mpmath.sqrt(mpf(b.numerator) / b.denominator)
 
 
-def cosh_path_floor(k, nu, z, prec):
-    """A positive lower bound for |cosh(pi*i*(nu-1/6)/k - pi*z*x/k)| on real x.
-
-    Write the argument as a + ib with beta0 = pi*(nu-1/6)/k, a = -pi*Re(z)*x/k
-    and b = beta0 - pi*Im(z)*x/k; then |cosh(a+ib)|^2 = sinh(a)^2 + cos(b)^2.
-    For z real b = beta0 stays put and the bound is |cos beta0| itself.  For
-    complex z, sinh(a)^2 >= a^2 and |cos b| >= (2/pi)|b - b_j| at the
-    nearest crossing b_j of pi/2 mod pi; minimizing the sum of squares over
-    x gives 2 Re(z) g / sqrt(pi^2 Re(z)^2 + 4 Im(z)^2), with g the distance
-    from beta0 to pi/2 + pi*Z.  That distance is at least pi/(6k), so the
-    bound is uniformly positive.
-    """
+def _cos_floor(k, nus, prec):
+    """min |cos beta_nu| over nus: |cosh(i beta_nu - alpha x)| >= |cos beta_nu| on real alpha x."""
     with workprec(prec):
-        z = mpc(z)
-        beta0 = mpmath.pi * (mpf(6 * nu - 1) / (6 * k))
-        if z.imag == 0:
-            return abs(mpmath.cos(beta0))
-        t = Fraction(6 * nu - 1, 6 * k) - Fraction(1, 2)
-        d = abs(t - round(t))
-        g = mpmath.pi * mpf(d.numerator) / d.denominator
-        u, v = z.real, z.imag
-        return 2 * u * g / mpmath.sqrt(mpmath.pi ** 2 * u * u + 4 * v * v)
+        return min(abs(mpmath.cos(mpmath.pi * (mpf(6 * nu - 1) / (6 * k)))) for nu in nus)
 
 
 def _exp_fixed(t, F):  # e^(t 2^-2F) at F bits
@@ -79,9 +61,11 @@ def _cos_sin_fixed(t, F):  # cos and sin of t 2^-2F at F bits
     return [to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(t, -2 * F), F + 8)]
 
 
-def _cexp_fixed(cr, ci, s, F):  # e^((cr + i ci) s 2^-2F) at F bits, as (Re, Im)
-    c, si = _cos_sin_fixed(ci * s, F) if ci else (1 << F, 0)
+def _cexp_fixed(cr, ci, s, F):  # e^((cr + i ci) s 2^-2F) at F bits, as (Re,) if ci = 0, else (Re, Im)
     g = _exp_fixed(cr * s, F)
+    if not ci:
+        return (g,)
+    c, si = _cos_sin_fixed(ci * s, F)
     return g * c >> F, g * si >> F
 
 
@@ -98,97 +82,65 @@ def _panel_nodes(x0, x1, npts, F):
                  for t, w in gauss_legendre_fixed(npts, F)]
 
 
-def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
-    """int g(|x|) / cosh(i beta_nu - u x) dx over lo <= |x| <= X, beta_nu = pi(6nu-1)/(6k),
+def _cosh_band(k, nus, alpha, weight, lo, X, F, tol, prec):
+    """int g(|x|) / cosh(i beta_nu - alpha x) dx over lo <= |x| <= X, beta_nu = pi(6nu-1)/(6k),
     for every nu in nus, from quad_panels at prec + 16 with budget tol.  It is
     behind script_I_band, mordell_band, Jstar and J_gap; their pointwise mpf
     references are in tests/reference.py.  lo = 0 is the one interval [-X, X];
-    lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.
-    u = (Re u, Im u) and the panel sums are ints scaled by 2^F, on the nodes of
-    _panel_nodes; weight(ax) gives (Re g, Im g) at |x| = ax 2^-F.  memo lives for
-    this call only.  The loop follows the integrand; real says that u and g are both real:
+    lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.  The real
+    alpha and the panel sums are ints scaled by 2^F, on the nodes of _panel_nodes;
+    weight(ax) gives g at |x| = ax 2^-F as (Re g,) or, for complex g, (Re g, Im g).
 
-    Real: the real part is even in x and the imaginary part odd, so the
-    integral is real and only the real sums are kept, and each distinct |x| is
-    evaluated once.  A panel with x0 = -x1 sums its x > 0 nodes with weight 2
-    and its middle node once.  A panel whose mirror [-x1, -x0] was summed before
-    (bisection rounds symmetrically, and _panel_nodes negates nodes exactly)
-    returns the mirror's sums.  Per node one exp gives ch, sh = cosh, sinh(u |x|);
-    per (nu, node) one division gives
-    Re 1/cosh(i beta - u x) = cos beta ch / (cos^2 beta + sh^2).
-    Otherwise: per |x| one exp and, for Im u != 0, one cos/sin give E = e^(u x) as
-    ch, sh = 2 cosh, 2 sinh of Re(u) x rotated by Im(u) x, memoised by |x|; per
-    (nu, node) one complex multiply and one division give
-    1/cosh(i beta - u x) = 2/D, D = e^(i beta)/E + E/e^(i beta).
+    Re 1/cosh(i beta - alpha x) = cos beta ch / (cos^2 beta + sh^2), ch, sh =
+    cosh, sinh(alpha x), is even in x and Im 1/cosh odd, so against the even g
+    only the real part counts, and each distinct |x| is evaluated once.  A
+    panel with x0 = -x1 sums its x > 0 nodes with weight 2 and its middle node
+    once.  A panel whose mirror [-x1, -x0] was summed before (bisection rounds
+    symmetrically, and _panel_nodes negates nodes exactly) returns the mirror's
+    sums; memo lives for this call only.  Per node one exp gives ch and sh; per
+    (nu, node) each part of g takes one division.
 
     Each value v comes from quad_panels at prec + 16 bits, so it carries tol
     only if |v| 2^-(prec+16) <= tol; otherwise ArithmeticError.
     """
-    ru, iu = u
     with workprec(F + 16):
         betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
         cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
-        if real:
-            cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
-        else:
-            sin_b = [to_fixed(mpmath.sin(t)._mpf_, F) for t in betas]
+        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
     one2 = 1 << (2 * F)
     memo = {}
 
-    def real_sums(x0, x1, npts):
+    def cosh_sums(x0, x1, npts):
         twin = memo.get((-x1, -x0, npts))
-        if twin is not None:  # the mirror panel: the real part is even in x
+        if twin is not None:  # the mirror panel: the integrand is even in x
             return twin
         rad, nodes = _panel_nodes(x0, x1, npts, F)
         fold = x0 == -x1
-        re = [0] * len(nus)
+        acc = []
         for x, w in nodes:
             if fold and x < 0:
                 continue
-            e = _exp_fixed(ru * abs(x), F)
+            e = _exp_fixed(alpha * abs(x), F)
             e_inv = one2 // e
             ch, sh = (e + e_inv) >> 1, (e - e_inv) >> 1
             sh2 = sh * sh >> F
-            num = w * weight(abs(x))[0]
+            g = weight(abs(x))
+            acc = acc or [[0] * len(nus) for _ in g]  # per part of g, per nu
             if fold:  # x > 0 stands for x and -x
                 ch <<= x > 0
-            for j, c2 in enumerate(cos2_b):
-                re[j] += num // (c2 + sh2) * ch
-        # re carries 2F fraction bits; cos beta and rad add F each
-        memo[x0, x1, npts] = [mpf((cb * r * rad, -4 * F)) for cb, r in zip(cos_b, re)]
+            for sums, gp in zip(acc, g):
+                num = w * gp
+                for j, c2 in enumerate(cos2_b):
+                    sums[j] += num // (c2 + sh2) * ch
+        # the sums carry 2F fraction bits; cos beta and rad add F each
+        vals = [[mpf((cb * s * rad, -4 * F)) for cb, s in zip(cos_b, sums)] for sums in acc]
+        memo[x0, x1, npts] = vals[0] if len(vals) == 1 else [mpc(*v) for v in zip(*vals)]
         return memo[x0, x1, npts]
-
-    def node(ax):
-        e = _exp_fixed(ru * ax, F)
-        ch, sh = e + (e_inv := one2 // e), e - e_inv
-        c, s = _cos_sin_fixed(iu * ax, F) if iu else (1 << F, 0)
-        return (*weight(ax), ch * c >> F, ch * s >> F, sh * s >> F, -(sh * c >> F))
-
-    def complex_sums(x0, x1, npts):
-        rad, nodes = _panel_nodes(x0, x1, npts, F)
-        re, im = [0] * len(nus), [0] * len(nus)
-        for x, w in nodes:
-            vals = memo.get(abs(x))
-            if vals is None:
-                vals = memo[abs(x)] = node(abs(x))
-            gr, gi, a1, a2, b1, b2 = vals
-            if x < 0:  # sh and sin(Im(u) x) are odd in x
-                a2, b2 = -a2, -b2
-            wr, wi = w * gr, w * gi
-            for j, (cb, sb) in enumerate(zip(cos_b, sin_b)):
-                dr = cb * a1 + sb * a2 >> F
-                di = cb * b1 + sb * b2 >> F
-                m = dr * dr + di * di
-                re[j] += (wr * dr + wi * di) // m
-                im[j] += (wi * dr - wr * di) // m
-        # the quotients carry F fraction bits and rad adds F; the factor 2 is 2/D
-        return [mpc(mpf((2 * r * rad, -2 * F)), mpf((2 * v * rad, -2 * F)))
-                for r, v in zip(re, im)]
 
     with workprec(prec + 40):
         spans = [(-X, -lo), (lo, X)] if lo else [(-X, X)]
-        parts = [quad_panels(real_sums if real else complex_sums, a, b, tol / len(spans),
-                             prec + 16).value for a, b in spans]
+        parts = [quad_panels(cosh_sums, a, b, tol / len(spans), prec + 16).value
+                 for a, b in spans]
         values = [sum(vs) for vs in zip(*parts)]
         if any(mpmath.ldexp(abs(v), -(prec + 16)) > tol for v in values):
             raise ArithmeticError(f"precision too low: {prec} + 16 bits cannot carry tol")
@@ -199,17 +151,23 @@ def _cosh_band(k, nus, u, weight, real, lo, X, F, tol, prec):
 def mordell_band(k, nus, z, tol, prec):
     """I_{k,nu}(z) = int e^(-3u x^2) / cosh(i beta_nu - u x) dx over the real line,
     u = pi z/k, for every nu in nus from one _cosh_band; requires Re z > 0.
-    The cut [-X, X] is decay_cut's for the smallest cosh_path_floor over nus,
-    and its certified tail comes off tol, so each nu keeps tol.
+    The path turns to x = rho s, rho = Re z / z (Zwegers, Mock Theta Functions,
+    thesis, Utrecht 2002, 1.2), so that u x = alpha s with alpha = pi Re z/k real:
+    I_{k,nu}(z) = rho int e^(-3 alpha rho s^2) / cosh(i beta_nu - alpha s) ds, as
+    the Gaussian decays between the real line and the ray rho R, and the poles of
+    1/cosh lie on (i/u) R, outside.  The cut [-X, X] is decay_cut's for the
+    envelope 1/floor, floor = min |cos beta_nu|; its certified tail comes off
+    tol, so each nu keeps tol.  Re z/|z| < 2^-(prec//2) brings the real line
+    that close to a pole, and the band is refused.
 
-    Error budget.  G = 24 + 2 ceil(log2(1/floor)) + bits(prec + 16) + 2 bits(X),
-    plus ceil(log2(e) Re(u) X) for real z; bits(prec + 16) covers the rule
-    sizes.  Rounding u and x moves the exponents by a few X^2 ulp.
-    |D| >= 2 floor (complex z) or cos^2 beta + sh^2 >= floor^2 (real z) keeps
-    1/cosh within a few X^2 ulp / floor^2, and each quotient adds one ulp,
-    times ch <= e^(Re(u) X) for real z.  So each per-nu panel sum is within
-    2^-(prec+36) (x1 - x0) of the Gauss-Legendre sum in exact arithmetic at
-    the computed nodes and weights; _cosh_band bounds the rule's error.
+    Error budget.  G = 24 + 2 ceil(log2(1/floor)) + bits(prec + 16) + 2 bits(X)
+    + ceil(log2(e) alpha X); bits(prec + 16) covers the rule sizes.  Rounding
+    alpha, alpha rho and s moves the exponents by a few X^2 ulp, and rho adds
+    one ulp.  cos^2 beta + sh^2 >= floor^2 keeps 1/cosh within a few
+    X^2 ulp / floor^2, and each quotient adds one ulp, times ch <= e^(alpha X).
+    So each per-nu panel sum is within 2^-(prec+36) (x1 - x0) of the
+    Gauss-Legendre sum in exact arithmetic at the computed nodes and weights;
+    _cosh_band bounds the rule's error.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -220,22 +178,27 @@ def mordell_band(k, nus, z, tol, prec):
         z = mpc(z)
         if z.real <= 0:
             raise ValueError("mordell_band needs Re z > 0")
-        floor = min(cosh_path_floor(k, nu, z, prec) for nu in nus)
-        if floor < mpf(2) ** (-(prec // 2)):
+        if z.real / abs(z) < mpf(2) ** (-(prec // 2)):
             raise ValueError("path too close to pole of the integrand")
-        X, tail = decay_cut(3 * mpmath.pi * z / k, tol, quad_prec, 1 / floor)
+        floor = _cos_floor(k, nus, prec)
+        X, tail = decay_cut(3 * mpmath.pi * z.real * (z.real / z) / k, tol, quad_prec, 1 / floor)
         tol = mpf(tol) - tail
-        growth = 0 if z.imag else math.ceil(float(mpmath.pi * z.real * X / k) / math.log(2))
+        growth = math.ceil(float(mpmath.pi * z.real * X / k) / math.log(2))
     F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
          + 2 * int(X).bit_length() + growth)
     with workprec(F + 16):
-        u = mpmath.pi * z / k
-        ru, iu = to_fixed(u.real._mpf_, F), to_fixed(u.imag._mpf_, F)
+        alpha, rho = mpmath.pi * z.real / k, z.real / z
+        c = alpha * rho
+        alpha, cr, ci, rr, ri = (to_fixed(v._mpf_, F)
+                                 for v in (alpha, c.real, c.imag, rho.real, rho.imag))
 
-    def gaussian(ax):  # e^(-3u x^2) at F bits
-        return _cexp_fixed(-3 * ru, -3 * iu, ax * ax >> F, F)
+    def gaussian(ax):  # rho e^(-3 alpha rho s^2) at |s| = ax 2^-F, F bits
+        g = _cexp_fixed(-3 * cr, -3 * ci, ax * ax >> F, F)
+        if len(g) == 1:  # real z, rho = 1
+            return g
+        return g[0] * rr - g[1] * ri >> F, g[0] * ri + g[1] * rr >> F
 
-    return _cosh_band(k, nus, (ru, iu), gaussian, not iu, 0, X, F, tol, prec)
+    return _cosh_band(k, nus, alpha, gaussian, 0, X, F, tol, prec)
 
 
 def J(b, k, nu, z, tol, prec):
@@ -257,7 +220,7 @@ def _truncated_band(b, k, nu, z, lo, tol, prec):
     lo = 0 and X = 1; J_gap's tails (lo = 1, real z) get tol/4 each and stop at
     the X where their envelope e^(-w(x-1)^2) is e^(-w) tol/4.
 
-    Error budget.  That of mordell_band with floor = |cos beta_nu| and u = alpha,
+    Error budget.  That of mordell_band with floor = |cos beta_nu|,
     plus bits(|w|) for the rounding of w in the exponent, and with growth
     ceil(log2(e) (alpha X + Re w [lo = 0])): |e^(w(1-x^2))| is at most e^(Re w)
     on |x| <= 1 but at most 1 on the tails, and each quotient's ulp is
@@ -283,7 +246,7 @@ def _truncated_band(b, k, nu, z, lo, tol, prec):
         X = 1 + mpmath.sqrt(mpmath.log(4 / tol) / w.real + 1) if lo else mpf(1)
         tol = tol / 2 if lo else tol
         growth = float(mpmath.pi * mpmath.sqrt(b / 3) * X / k + (0 if lo else w.real))
-        floor = cosh_path_floor(k, nu, 1, prec)
+        floor = _cos_floor(k, [nu], prec)
     F = (quad_prec + 24 + 2 * math.ceil(-math.log2(floor)) + quad_prec.bit_length()
          + 2 * int(X).bit_length() + int(abs(w)).bit_length() + math.ceil(growth / math.log(2)))
     with workprec(F + 16):
@@ -295,7 +258,7 @@ def _truncated_band(b, k, nu, z, lo, tol, prec):
     def gaussian(ax):  # e^(w(1-x^2)) at F bits
         return _cexp_fixed(wr, wi, (1 << F) - (ax * ax >> F), F)
 
-    val = _cosh_band(k, [nu], (alpha, 0), gaussian, not wi, lo, X, F, tol, prec)[0]
+    val = _cosh_band(k, [nu], alpha, gaussian, lo, X, F, tol, prec)[0]
     with workprec(prec):
         return +(sq * val)
 
@@ -303,7 +266,7 @@ def _truncated_band(b, k, nu, z, lo, tol, prec):
 def Jstar(b, k, nu, z, tol, prec):
     """Principal part truncation: sqrt(b/3) int_{-1}^{1} e^(w(1-x^2)) / cosh(i beta_nu - alpha x)
     dx, w = pi b/(k z) and alpha = pi sqrt(b/3)/k; requires b > 0, k >= 1 and Re z > 0.
-    Real at real z, where the band sums only real parts."""
+    Real at real z, where its weight e^(w(1-x^2)) is real."""
     return _truncated_band(b, k, nu, z, 0, tol, prec)
 
 
@@ -389,9 +352,9 @@ def script_I_band(b, k, nus, n, tol, prec):
 
     def bessel(ax):  # B at F bits
         s = (1 << F) - (ax * ax >> F)
-        return (factor(s) if s > 0 else 0), 0
+        return (factor(s) if s > 0 else 0),
 
-    return _cosh_band(k, nus, (alpha, 0), bessel, True, 0, mpf(1), F, tol, prec)
+    return _cosh_band(k, nus, alpha, bessel, 0, mpf(1), F, tol, prec)
 
 
 def L_closed(k, n, y, prec):

@@ -3,7 +3,8 @@
 Each integrand is evaluated node by node in mpf/mpc through the adaptive
 `quad_finite`, on the mpf Gauss-Legendre rule `_gauss_legendre_nodes`,
 independently of the fixed-point arithmetic of `integrals._cosh_band` and
-`integrals.L_contour`: `mordell_I` for one nu of `mordell_band`,
+`integrals.L_contour`: `mordell_I` for one nu of `mordell_band`, on the real
+line with the envelope `cosh_path_floor` (the band turns its path instead),
 `script_I` for one nu of `script_I_band`, `Jstar`, `J_gap` and
 `L_contour` for the package's functions of those names, and `quad_decay`
 for Gaussian decay over the real line.  `_gauss_legendre_nodes` is also the
@@ -25,7 +26,7 @@ from circleforge.hpnum import (
     decay_cut,
     quad_panels,
 )
-from circleforge.integrals import _sqrt_fraction, cosh_path_floor
+from circleforge.integrals import _sqrt_fraction
 
 
 @lru_cache(maxsize=32)
@@ -111,6 +112,30 @@ def quad_decay(f, c, tol, prec, envelope_max=1, max_panels=4096):
     with workprec(prec):
         return QuadratureResult(+inner.value, +(inner.abs_error_estimate + tail),
                                 inner.subdivisions, inner.unconverged)
+
+
+def cosh_path_floor(k, nu, z, prec):
+    """A positive lower bound for |cosh(pi*i*(nu-1/6)/k - pi*z*x/k)| on real x.
+
+    Write the argument as a + ib with beta0 = pi*(nu-1/6)/k, a = -pi*Re(z)*x/k
+    and b = beta0 - pi*Im(z)*x/k; then |cosh(a+ib)|^2 = sinh(a)^2 + cos(b)^2.
+    For z real b = beta0 stays put and the bound is |cos beta0| itself.  For
+    complex z, sinh(a)^2 >= a^2 and |cos b| >= (2/pi)|b - b_j| at the
+    nearest crossing b_j of pi/2 mod pi; minimizing the sum of squares over
+    x gives 2 Re(z) g / sqrt(pi^2 Re(z)^2 + 4 Im(z)^2), with g the distance
+    from beta0 to pi/2 + pi*Z.  That distance is at least pi/(6k), so the
+    bound is uniformly positive.
+    """
+    with workprec(prec):
+        z = mpc(z)
+        beta0 = mpmath.pi * (mpf(6 * nu - 1) / (6 * k))
+        if z.imag == 0:
+            return abs(mpmath.cos(beta0))
+        t = Fraction(6 * nu - 1, 6 * k) - Fraction(1, 2)
+        d = abs(t - round(t))
+        g = mpmath.pi * mpf(d.numerator) / d.denominator
+        u, v = z.real, z.imag
+        return 2 * u * g / mpmath.sqrt(mpmath.pi ** 2 * u * u + 4 * v * v)
 
 
 def mordell_I(k, nu, z, tol, prec):

@@ -2,6 +2,8 @@
 JSON output."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,12 @@ import mpmath
 import pytest
 
 from circleforge.cli import main
+
+# the CLI child processes import circleforge from this checkout's src/, which
+# pytest's pythonpath setting puts on the path of pytest's own process only
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, capsys):
@@ -185,6 +193,22 @@ def test_integral_at_real_z_prints_real_value(capsys, which, extra):
     assert float(rows[0]["im"]) == 0
 
 
+@pytest.mark.parametrize("k, nu, z, value", [
+    pytest.param(1, 1, "0.8,0.2", "(-2.0818265489747153580 + 0.68484345108426868176j)",
+                 id="positive-imag"),
+    pytest.param(3, 2, "0.6,-0.4", "(-2.3211560733424275860 - 0.61383860242654333147j)",
+                 id="negative-imag"),
+])
+def test_integral_complex_value_keeps_trailing_zeros(capsys, k, nu, z, value):
+    # mpmath's nstr drops the trailing zeros of an mpc's real part, so the
+    # complex value is built from the two 20-digit parts
+    code, rows = run_cli(["integral", "--which", "Jstar", "--b", "5/12", "--k", str(k),
+                          "--nu", str(nu), "--z", z], capsys)
+    assert code == 0
+    assert rows[0]["value"] == value
+    assert rows[0]["value"][1:].startswith(rows[0]["re"])
+
+
 def test_check_transform(capsys):
     code, rows = run_cli(
         ["check-transform", "--law", "P_law", "--h", "1", "--k", "2", "--z", "0.8,0.2"],
@@ -213,7 +237,7 @@ def test_verify_row_equals_exact_row(capsys):
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "circleforge.cli", "no-such-command"],
-        capture_output=True,
+        capture_output=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
 
@@ -253,7 +277,7 @@ def test_usage_error_exit_code():
 ])
 def test_usage_error_exits_2(args, message):
     proc = subprocess.run([sys.executable, "-m", "circleforge.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
     assert "error: " in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr

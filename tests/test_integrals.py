@@ -22,7 +22,6 @@ from circleforge.integrals import (
     Jstar,
     L_closed,
     L_contour,
-    cosh_path_floor,
     lemma35_gap,
     mordell_band,
     script_I_band,
@@ -32,7 +31,7 @@ from circleforge.transform import standard_grid
 from reference import J_gap as J_gap_pointwise
 from reference import Jstar as Jstar_pointwise
 from reference import L_contour as L_contour_pointwise
-from reference import mordell_I, quad_finite, script_I
+from reference import cosh_path_floor, mordell_I, quad_finite, script_I
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -87,7 +86,12 @@ def test_mordell_band_matches_per_nu(k):
     # the tolerance and precision check_law gives each nu at tol 1e-10, 160 bits
     tol = mpf("1e-10") / (16 * k)
     nus = list(range(1, k + 1))
-    for _, _, z in standard_grid(1):  # z = 1, 4/5 + i/5 and 1/2
+    # z = 1, 4/5 + i/5 and 1/2 from the grid, then complex z off it, where the
+    # band's turned path and the reference's real line differ most
+    with workprec(176):
+        off_grid = [mpc(*map(mpf, z)) for z in (("0.5", "0.5"), (1, 1), ("0.25", 1),
+                                               (1, "0.05"), ("0.6", "-0.4"))]
+    for z in [z for _, _, z in standard_grid(1)] + off_grid:
         band = mordell_band(k, nus, z, tol, prec=176)
         assert len(band) == k
         for nu, v in zip(nus, band):
@@ -191,8 +195,8 @@ TRUNCATED_GRID = [(b, k, nu) for b in (Fraction(5, 12), Fraction(1, 24))
 
 @pytest.mark.parametrize("b, k, nu", TRUNCATED_GRID, ids=str)
 def test_truncated_bands_match_pointwise_references(b, k, nu):
-    # Jstar at real z takes the kernel's real loop and at complex z its
-    # complex one; J_gap sums two tails along z -> 0
+    # Jstar weighs the kernel's one loop with a real g at real z and a complex
+    # g at complex z; J_gap sums two tails along z -> 0
     tol = mpf("1e-20")
     for z in (mpf(1) / 2, mpf("0.1"), mpc("0.8", "0.2"), mpc("0.5", "0.5")):
         v = Jstar(b, k, nu, z, tol, prec=96)
@@ -240,8 +244,8 @@ def test_truncated_and_contour_panel_counts(monkeypatch):
 ])
 def test_cosh_band_weighs_each_mirrored_node_once(monkeypatch, band):
     # the domain is symmetric and its ends are negated exactly, whatever the
-    # global precision, so the nodes at x and -x are exact negatives: the real
-    # loop folds or reuses them, the complex loop shares one entry of its memo
+    # global precision, so the nodes at x and -x are exact negatives: the loop
+    # folds them or reuses the mirror panel's sums, at real and complex z alike
     import circleforge.integrals as integrals
 
     real_band, real_driver = integrals._cosh_band, integrals.quad_panels
@@ -283,6 +287,33 @@ def test_real_cosh_band_exp_pin(monkeypatch):
     monkeypatch.setattr(integrals, "_exp_fixed", counted)
     mordell_band(5, [1, 2, 3, 4, 5], mpf(1) / 2, mpf("1e-30"), prec=120)
     assert calls[0] == 1540
+
+
+def test_complex_z_mordell_band_work_pin(monkeypatch):
+    # work pin: on the turned path cosh has a real argument at complex z too, so
+    # per distinct |s| one exp gives cosh and sinh and one exp and one cos/sin the
+    # complex Gaussian; a later change may lower these counts, never raise them
+    import circleforge.integrals as integrals
+
+    calls = {"_exp_fixed": 0, "_cos_sin_fixed": 0}
+    panels = []
+    real_driver = integrals.quad_panels
+
+    def counted_driver(*args, **kwargs):
+        res = real_driver(*args, **kwargs)
+        panels.append(res.subdivisions)
+        return res
+
+    for name in calls:
+        def counted(t, F, real=getattr(integrals, name), name=name):
+            calls[name] += 1
+            return real(t, F)
+
+        monkeypatch.setattr(integrals, name, counted)
+    monkeypatch.setattr(integrals, "quad_panels", counted_driver)
+    mordell_band(5, [1, 2, 3, 4, 5], mpc("0.8", "0.2"), mpf("1e-30"), prec=120)
+    assert panels == [19]
+    assert calls == {"_exp_fixed": 1540, "_cos_sin_fixed": 770}
 
 
 def test_panel_nodes_of_the_mirror_panel_are_exact_negatives():
@@ -435,17 +466,22 @@ def test_bands_check_tol_against_their_precision(monkeypatch):
     assert all(isinstance(v, mpc) for v in mordell_band(3, [1, 2, 3], z, mpf("1e-12"), prec=96))
 
 
-@pytest.mark.parametrize("band", [
+@pytest.mark.parametrize("band, kind", [
     pytest.param(lambda: script_I_band(Fraction(5, 12), 2, [1, 2], 55, mpf("1e-12"), prec=110),
-                 id="script_I"),
+                 mpf, id="script_I"),
     pytest.param(lambda: mordell_band(5, [1, 2, 3, 4, 5], mpf(1) / 2, mpf("1e-30"), prec=120),
-                 id="mordell-real-z"),
+                 mpf, id="mordell-real-z"),
     pytest.param(lambda: J_gap(Fraction(5, 12), 2, 1, mpf("0.01"), mpf("1e-16"), prec=140),
-                 id="J_gap-tails"),
+                 mpf, id="J_gap-tails"),
+    pytest.param(lambda: mordell_band(5, [1, 2, 3, 4, 5], mpc("0.8", "0.2"), mpf("1e-30"),
+                                      prec=120), mpc, id="mordell-complex-z"),
+    pytest.param(lambda: Jstar(Fraction(5, 12), 2, 1, mpc("0.8", "0.2"), mpf("1e-16"), prec=140),
+                 mpc, id="Jstar-complex-z"),
 ])
-def test_real_loop_sums_are_real_and_shared_by_mirror_panels(monkeypatch, band):
-    # the real loop keeps only real sums, and a panel whose mirror was summed
-    # before returns the mirror's sums themselves
+def test_real_loop_sums_are_real_and_shared_by_mirror_panels(monkeypatch, band, kind):
+    # the loop keeps only the real part of 1/cosh: its sums are real for a real
+    # weight and complex only through a complex one, and a panel whose mirror
+    # was summed before returns the mirror's sums themselves
     import circleforge.integrals as integrals
 
     real_driver = integrals.quad_panels
@@ -460,7 +496,7 @@ def test_real_loop_sums_are_real_and_shared_by_mirror_panels(monkeypatch, band):
 
     monkeypatch.setattr(integrals, "quad_panels", recording_driver)
     band()
-    assert all(type(v) is mpf for sums in seen.values() for v in sums)
+    assert all(type(v) is kind for sums in seen.values() for v in sums)
     mirrored = [((x0, x1, npts), (-x1, -x0, npts)) for x0, x1, npts in seen
                 if x0 >= 0 and (-x1, -x0, npts) in seen]
     assert mirrored
