@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -364,9 +365,20 @@ def build_parser():
     return p
 
 
+def _join_negative_b(argv):
+    """["--b", "-1/12"] -> ["--b=-1/12"]: argparse takes a separate -N/M for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--b" and re.fullmatch(r"-\d+/\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_b(sys.argv[1:] if argv is None else argv))
     try:
         _resolve_precision(args)
         return args.func(args)

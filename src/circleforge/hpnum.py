@@ -203,20 +203,21 @@ def bessel_factor_degree(c, prec):
     The terms t_m = a_m of S(1) = sum a_m are summed until 2 t_M is below
     2^-(prec+8) S(1) and the next ratio t_(M+1)/t_M is below 1/2, so the
     tail is below t_M.  tail(s)/S(s) grows with s, so the bound holds for
-    every s in [0, 1].  Sizing needs no more than 64 bits.
+    every s in [0, 1].  The rule runs on the base-2 logarithms of t_m and
+    of the partial sums in floats, which neither overflow nor underflow
+    where t_m and 2^-(prec+8) do; tests/reference.py keeps the mpf loop.
     """
-    with workprec(64):
-        h = (mpf(c) / 2) ** 2
-        term = total = mpf(1)
-        eps = mpf(2) ** (-(prec + 8))
-        m = 0
-        while True:
-            ratio = h / ((m + 1) * (m + 2))
-            if 2 * term < eps * total and 2 * ratio < 1:
-                return m
-            term *= ratio
-            total += term
-            m += 1
+    log_h = 2 * math.log2(float(c) / 2)
+    log_eps = -(prec + 8)
+    log_term = log_total = 0.0
+    m = 0
+    while True:
+        log_ratio = log_h - math.log2((m + 1) * (m + 2))
+        if 1 + log_term < log_eps + log_total and log_ratio < -1:
+            return m
+        log_term += log_ratio
+        log_total += math.log2(1 + 2 ** (log_term - log_total))
+        m += 1
 
 
 class BesselFactor:

@@ -104,9 +104,9 @@ def _cosh_band(k, nus, alpha, weight, lo, X, F, tol, prec):
     only if |v| 2^-(prec+16) <= tol; otherwise ArithmeticError.
     """
     with workprec(F + 16):
-        betas = [mpmath.pi * mpf(6 * nu - 1) / (6 * k) for nu in nus]
-        cos_b = [to_fixed(mpmath.cos(t)._mpf_, F) for t in betas]
-        cos2_b = [to_fixed((mpmath.cos(t) ** 2)._mpf_, F) for t in betas]
+        cos_mp = [mpmath.cos(mpmath.pi * mpf(6 * nu - 1) / (6 * k)) for nu in nus]
+        cos_b = [to_fixed(c._mpf_, F) for c in cos_mp]
+        cos2_b = [to_fixed((c * c)._mpf_, F) for c in cos_mp]
     one2 = 1 << (2 * F)
     memo = {}
 

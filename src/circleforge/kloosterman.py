@@ -14,6 +14,10 @@ stored in one way only: as the number of summands at each residue r mod
 exact statement about these counts (no floating point): equal counts are
 equal sums, and otherwise the difference is reduced modulo a cyclotomic
 polynomial.  `SumValue.value(prec)` evaluates a sum numerically on demand.
+Every weight the formulas read is real, and `SumValue.real_value(prec)`
+evaluates it as an integer sum of counts times fixed-point cosines, each
+root's cosine computed once (Johansson, arXiv:1205.5991, sec. 2-3, sums the
+exponential sums of Rademacher's series the same way).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_cos_pi, mpf_shift, round_nearest, to_int
 
 from .modular import farey_neighbors, omega_residue, strengthened_inverse
 
@@ -157,6 +162,17 @@ def _root(num, den, prec):
         return mpmath.expjpi(mpmath.mpf(num) / den)
 
 
+@lru_cache(maxsize=None)
+def _cos_fixed(num, den, F):
+    """cos(pi*num/den) as an int scaled by 2^F, within 1 ulp: one cospi per root.
+
+    The argument is rounded at F + 8 bits (|num/den| <= 1 moves the cosine by
+    at most pi 2^-(F+8)), cospi rounds at F + 8 bits, and the result rounds
+    to the nearest multiple of 2^-F.
+    """
+    return to_int(mpf_shift(mpf_cos_pi(from_rational(num, den, F + 8), F + 8), F), round_nearest)
+
+
 class SumValue:
     """Value of a Kloosterman-type sum: counts of roots of unity.
 
@@ -164,8 +180,16 @@ class SumValue:
     modulus 24k.  Every sum is exact, so `exact` is always True.
     `value(prec)` evaluates at prec bits with one cos/sin per distinct
     root and precision, shared by all sums; a sum that is exactly zero
-    evaluates to exactly 0.  `real_value(prec)` is the real part of a sum
-    that equals its conjugate exactly, and raises ArithmeticError otherwise.
+    evaluates to exactly 0.
+
+    `real_value(prec)` is the value of a sum that equals its conjugate
+    exactly, and raises ArithmeticError otherwise.  It sums counts[r] times
+    cos(2*pi*r/modulus) as Python ints at F = prec + 8 + bits(term_count)
+    fraction bits, from `_cos_fixed` keyed on the reduced root of
+    min(r, modulus - r), so the total is within term_count 2^-F of the
+    sum before it is rounded to prec bits.  The exact zero test runs only
+    when the total is within (term_count + 1) 2^-F of 0, and then a sum
+    that is exactly zero gives exactly 0.
     """
 
     __slots__ = ("modulus", "counts", "term_count")
@@ -189,7 +213,16 @@ class SumValue:
     def real_value(self, prec):
         if not self.equals(self.conjugate()):
             raise ArithmeticError(f"{self!r} is not real")
-        return self.value(prec).real
+        m = self.modulus
+        F = prec + 8 + self.term_count.bit_length()
+        total = 0
+        for r, c in self.counts.items():
+            r = min(r, m - r)  # cos(2 pi r/m) = cos(2 pi (m - r)/m)
+            g = math.gcd(2 * r, m)
+            total += c * _cos_fixed(2 * r // g, m // g, F)
+        if abs(total) <= self.term_count + 1 and self.is_zero():
+            return mpmath.mpf(0)
+        return mpmath.mpf((total, -F), prec=prec)
 
     def __neg__(self):
         n = self.modulus

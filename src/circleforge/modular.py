@@ -22,7 +22,6 @@ __all__ = [
     "omega_residue",
     "FareyArc",
     "farey_neighbors",
-    "farey_sequence",
     "multiplier_identity_check",
 ]
 
@@ -161,14 +160,6 @@ def farey_neighbors(h, k, N):
         h, k, N, k1, k2, h1, h2,
         Fraction(1, k * (k + k1)), Fraction(1, k * (k + k2)),
     )
-
-
-def farey_sequence(N):
-    """All reduced fractions h/k with 0 <= h < k <= N, ascending."""
-    fracs = sorted(
-        {Fraction(h, k) for k in range(1, N + 1) for h in range(k) if math.gcd(h, k) == 1}
-    )
-    return fracs
 
 
 def multiplier_identity_check(h, k):

@@ -19,8 +19,6 @@ __all__ = [
     "SERIES_NAMES",
     "named_series",
     "pochhammer_inf",
-    "Overpartition",
-    "all_overpartitions",
     "enumerate_p1bar",
     "check_ramanujan_relation",
     "DEFAULT_ENUMERATION_CEILING",
@@ -293,73 +291,10 @@ def named_series(name, order):
     return _build_series(name, order)
 
 
-class Overpartition:
-    """A partition with a subset of part sizes overlined (the final
-    occurrence of a size is the one that carries the overline)."""
-
-    __slots__ = ("parts", "overlined")
-
-    def __init__(self, parts, overlined=()):
-        self.parts = tuple(sorted(parts, reverse=True))
-        self.overlined = frozenset(overlined)
-        sizes = set(self.parts)
-        if not self.overlined <= sizes:
-            raise ValueError("overlined sizes must occur as parts")
-
-    def total(self):
-        return sum(self.parts)
-
-    def is_valid_lower_1run(self):
-        """Every overlined size m stands alone (m-1, m+1 not overlined)
-        and no parts of size m-1 exist; the gap below 1 is vacuous."""
-        sizes = set(self.parts)
-        for m in self.overlined:
-            if m + 1 in self.overlined or m - 1 in self.overlined:
-                return False
-            if m - 1 in sizes:
-                return False
-        return True
-
-    def __eq__(self, other):
-        return (self.parts, self.overlined) == (other.parts, other.overlined)
-
-    def __hash__(self):
-        return hash((self.parts, self.overlined))
-
-    def __repr__(self):
-        shown = []
-        seen = set()
-        for p in self.parts:
-            if p in self.overlined and p not in seen:
-                shown.append(f"{p}~")
-                seen.add(p)
-            else:
-                shown.append(str(p))
-        return "Overpartition(" + "+".join(shown) + ")"
-
-
-def all_overpartitions(n):
-    """Yield every overpartition of n (for desk-scale n only)."""
-
-    def partitions(rem, cap):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, cap), 0, -1):
-            for rest in partitions(rem - first, first):
-                yield (first,) + rest
-
-    for parts in partitions(n, n) if n > 0 else [()]:
-        sizes = sorted(set(parts))
-        for mask in range(1 << len(sizes)):
-            marked = {sizes[i] for i in range(len(sizes)) if mask >> i & 1}
-            yield Overpartition(parts, marked)
-
-
 def enumerate_p1bar(n, ceiling=DEFAULT_ENUMERATION_CEILING):
     """Count lower 1-run overpartitions of n by exhaustive recursion.
 
-    Equivalent to filtering all_overpartitions(n) with the validity
+    Equivalent to filtering every overpartition of n with the validity
     predicate, but organized as a recursion over part sizes so the count
     stays feasible up to the configured ceiling.
     """

@@ -1,4 +1,5 @@
-"""Pointwise mpf references for the fixed-point integrals of the package.
+"""Pointwise mpf references for the fixed-point integrals of the package,
+and the desk-scale objects only the tests use.
 
 Each integrand is evaluated node by node in mpf/mpc through the adaptive
 `quad_finite`, on the mpf Gauss-Legendre rule `_gauss_legendre_nodes`,
@@ -8,8 +9,11 @@ line with the envelope `cosh_path_floor` (the band turns its path instead),
 `script_I` for one nu of `script_I_band`, `Jstar`, `J_gap` and
 `L_contour` for the package's functions of those names, and `quad_decay`
 for Gaussian decay over the real line.  `_gauss_legendre_nodes` is also the
-reference for `hpnum.gauss_legendre_fixed`.  Like the package, they take
+reference for `hpnum.gauss_legendre_fixed`, and `bessel_factor_degree` the
+mpf loop behind the float one of `hpnum`.  Like the package, they take
 their precision explicitly and never read the global mpmath precision.
+`Overpartition` and `all_overpartitions` list overpartitions one by one,
+and `farey_sequence` the Farey fractions, for brute-force checks.
 """
 
 import math
@@ -296,3 +300,92 @@ def L_contour(k, n, y, N, tol, prec):
         val = total / (2j * mpmath.pi)
     with workprec(prec):
         return +val
+
+
+def bessel_factor_degree(c, prec):
+    """hpnum.bessel_factor_degree's stopping rule on the terms themselves, in
+    64-bit mpf: t_m = (c/2)^(2m) / (m! (m+1)!) is summed until 2 t_M is below
+    2^-(prec+8) S(1) and the next ratio t_(M+1)/t_M is below 1/2."""
+    with workprec(64):
+        h = (mpf(c) / 2) ** 2
+        term = total = mpf(1)
+        eps = mpf(2) ** (-(prec + 8))
+        m = 0
+        while True:
+            ratio = h / ((m + 1) * (m + 2))
+            if 2 * term < eps * total and 2 * ratio < 1:
+                return m
+            term *= ratio
+            total += term
+            m += 1
+
+
+def farey_sequence(N):
+    """All reduced fractions h/k with 0 <= h < k <= N, ascending."""
+    fracs = sorted(
+        {Fraction(h, k) for k in range(1, N + 1) for h in range(k) if math.gcd(h, k) == 1}
+    )
+    return fracs
+
+
+class Overpartition:
+    """A partition with a subset of part sizes overlined (the final
+    occurrence of a size is the one that carries the overline)."""
+
+    __slots__ = ("parts", "overlined")
+
+    def __init__(self, parts, overlined=()):
+        self.parts = tuple(sorted(parts, reverse=True))
+        self.overlined = frozenset(overlined)
+        sizes = set(self.parts)
+        if not self.overlined <= sizes:
+            raise ValueError("overlined sizes must occur as parts")
+
+    def total(self):
+        return sum(self.parts)
+
+    def is_valid_lower_1run(self):
+        """Every overlined size m stands alone (m-1, m+1 not overlined)
+        and no parts of size m-1 exist; the gap below 1 is vacuous."""
+        sizes = set(self.parts)
+        for m in self.overlined:
+            if m + 1 in self.overlined or m - 1 in self.overlined:
+                return False
+            if m - 1 in sizes:
+                return False
+        return True
+
+    def __eq__(self, other):
+        return (self.parts, self.overlined) == (other.parts, other.overlined)
+
+    def __hash__(self):
+        return hash((self.parts, self.overlined))
+
+    def __repr__(self):
+        shown = []
+        seen = set()
+        for p in self.parts:
+            if p in self.overlined and p not in seen:
+                shown.append(f"{p}~")
+                seen.add(p)
+            else:
+                shown.append(str(p))
+        return "Overpartition(" + "+".join(shown) + ")"
+
+
+def all_overpartitions(n):
+    """Yield every overpartition of n (for desk-scale n only)."""
+
+    def partitions(rem, cap):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(min(rem, cap), 0, -1):
+            for rest in partitions(rem - first, first):
+                yield (first,) + rest
+
+    for parts in partitions(n, n) if n > 0 else [()]:
+        sizes = sorted(set(parts))
+        for mask in range(1 << len(sizes)):
+            marked = {sizes[i] for i in range(len(sizes)) if mask >> i & 1}
+            yield Overpartition(parts, marked)

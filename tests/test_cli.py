@@ -112,6 +112,15 @@ def test_kloosterman_rewrite_matches_direct(capsys):
     assert float(direct[0]["im"]) == pytest.approx(float(rewritten[0]["im"]), abs=1e-12)
 
 
+def test_negative_fraction_as_separate_value(capsys):
+    # argparse alone reads a separate "-1/12" as an option and exits 2
+    common = ["integral", "--which", "J", "--k", "2", "--z", "1/2"]
+    code1, joined = run_cli(common + ["--b=-1/12"], capsys)
+    code2, separate = run_cli(common + ["--b", "-1/12"], capsys)
+    assert code1 == code2 == 0
+    assert separate == joined and joined[0]["b"] == "-1/12"
+
+
 def test_integral_scriptI(capsys):
     code, rows = run_cli(
         ["integral", "--which", "scriptI", "--b", "5/12", "--k", "2", "--nu", "1", "--n", "4"],

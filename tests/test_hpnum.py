@@ -1,9 +1,11 @@
 """Bessel kernels against independent series/library oracles and the
 certified quadrature on known integrals; the fixed-point Gauss-Legendre
-tables against the mpf rule."""
+tables against the mpf rule, and the float Bessel degree against the mpf loop."""
 
 import ast
+import math
 import pathlib
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,12 +14,14 @@ from mpmath import mpf, workprec
 from circleforge import hpnum
 from circleforge.hpnum import (
     QuadratureError,
+    bessel_factor_degree,
     bessel_i32,
     bessel_i_series,
     default_precision,
     gauss_legendre_fixed,
 )
 from reference import _gauss_legendre_nodes, quad_decay, quad_finite
+from reference import bessel_factor_degree as bessel_factor_degree_mpf
 
 PREC = 320  # test-level arithmetic must not truncate frozen oracles
 
@@ -202,6 +206,20 @@ def test_gauss_legendre_fixed_within_one_ulp_of_mpf_reference(npts, frac_bits):
         if npts % 2:
             assert table[npts // 2][0] == 0
         assert abs(sum(w for _, w in table) - 2 ** (F + 1)) <= npts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 55, 105, 400, 1000, 4000, 10**4, 10**5, 10**6])
+def test_bessel_factor_degree_matches_mpf_loop(n):
+    # the float rule on base-2 logarithms against the 64-bit mpf loop, at the
+    # argument c = (2 pi/k) sqrt(2bn) and precision of every band script_I_band
+    # runs for k <= 40 and at the last default k of n
+    quad_prec = default_precision(n) + 16
+    kmax = math.isqrt(n) + 11
+    for k in [*range(1, min(kmax, 40) + 1), kmax]:
+        for b in (Fraction(1, 24), Fraction(5, 12)):
+            with workprec(quad_prec):
+                c = 2 * mpmath.pi / k * mpmath.sqrt(mpf(2 * b.numerator * n) / b.denominator)
+                assert bessel_factor_degree(c, quad_prec) == bessel_factor_degree_mpf(c, quad_prec), (b, k)
 
 
 def test_gauss_legendre_fixed_raises_on_unconverged_root(monkeypatch):

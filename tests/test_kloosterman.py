@@ -259,3 +259,46 @@ def test_sumvalue_neg_and_zero():
     neg = -sv
     merged = {r: sv.counts.get(r, 0) + neg.counts.get(r, 0) for r in {*sv.counts, *neg.counts}}
     assert SumValue(modulus=sv.modulus, counts=merged).is_zero()
+
+
+def _weights(kmax, n):
+    """Every weight the formulas read at n for k <= kmax: A_k(n) and the j = 2
+    modified sums of the d = 1 and d = 2 bands, one per nu."""
+    for k in range(1, kmax + 1):
+        yield A_k(k, n)
+        d = math.gcd(4, k)
+        if d != 4:
+            for nu in range(1, k + 1):
+                yield modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu))
+
+
+def check_real_values(kmax, ns):
+    """real_value(prec) against value(prec + 64).real: within term_count 2^-F
+    before its rounding to prec bits, and exactly 0 iff the sum is exactly 0."""
+    from circleforge.hpnum import default_precision
+
+    checked = 0
+    for n in ns:
+        prec = default_precision(n)
+        for sv in _weights(kmax, n):
+            got = sv.real_value(prec)
+            assert (got == 0) == sv.is_zero(), (n, sv.counts)
+            F = prec + 8 + sv.term_count.bit_length()
+            with mpmath.workprec(prec + 64):
+                want = sv.value(prec + 64).real
+                bound = sv.term_count * mpmath.mpf(2) ** -F + abs(want) * mpmath.mpf(2) ** -prec \
+                    + mpmath.mpf(2) ** -(prec + 40)  # the reference's own rounding
+                assert abs(got - want) <= bound, (n, sv.counts)
+            checked += 1
+    return checked
+
+
+def test_real_value_within_its_bound():
+    # every weight of p1bar_exact and p_rademacher for k <= 60 at three n
+    assert check_real_values(60, (7, 55, 1001)) == 3 * (60 + sum(
+        k for k in range(1, 61) if k % 4))
+
+
+def test_real_value_rejects_a_sum_that_is_not_real():
+    with pytest.raises(ArithmeticError):
+        SumValue(modulus=4, counts={1: 1}).real_value(64)  # e^(2 pi i/4) = i

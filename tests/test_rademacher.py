@@ -263,13 +263,13 @@ def test_band_panels_converge_on_workload_inputs(monkeypatch):
 
 
 def test_kloosterman_root_evaluation_pin(monkeypatch):
-    # deterministic work count: the cos/sin evaluations behind every
-    # SumValue.value of p1bar_exact(55); a later change may lower it, never raise it
+    # deterministic work count: the cosine evaluations behind every
+    # SumValue.real_value of p1bar_exact(55); a later change may lower it, never raise it
     import functools
 
     import circleforge.kloosterman as kloosterman
 
-    fresh = functools.lru_cache(maxsize=None)(kloosterman._root.__wrapped__)
-    monkeypatch.setattr(kloosterman, "_root", fresh)
+    fresh = functools.lru_cache(maxsize=None)(kloosterman._cos_fixed.__wrapped__)
+    monkeypatch.setattr(kloosterman, "_cos_fixed", fresh)
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
-    assert fresh.cache_info().misses == 82
+    assert fresh.cache_info().misses == 53
