@@ -16,6 +16,8 @@ fixed point, from `gauss_legendre_fixed` (the rule built on ints) and, for
 the main-term bands, `BesselFactor` (sqrt(s) I_1(c sqrt(s)) as a
 polynomial in s, evaluated by Horner's rule).  `decay_cut` truncates a
 Gaussian-decay integrand over the real line to a finite interval.
+`cospi_fixed` is the one cosine of a rational multiple of pi, cached per
+reduced root, that the Kloosterman values and the bands' cos beta_nu share.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_rational, mpf_cos_pi, mpf_shift, round_nearest, to_fixed, to_int
 
 __all__ = [
     "default_precision",
@@ -35,6 +37,7 @@ __all__ = [
     "bessel_i_series",
     "BesselFactor",
     "bessel_factor_degree",
+    "cospi_fixed",
     "gauss_legendre_fixed",
     "QuadratureResult",
     "QuadratureError",
@@ -195,6 +198,36 @@ def gauss_legendre_fixed(npts, frac_bits):
            for x, w in _gauss_legendre_half(npts, bits)]
     mid = [pos.pop()] if npts % 2 else []
     return tuple([(-x, w) for x, w in pos] + mid + pos[::-1])
+
+
+@lru_cache(maxsize=None)
+def _cospi_bucket(p, q, bits):
+    """cos(pi p/q), 0 <= p/q <= 1 in lowest terms, as an int scaled by 2^bits.
+
+    The argument is rounded at bits + 8 bits (p/q <= 1 moves the cosine by
+    at most pi 2^-(bits+8)), cospi rounds at bits + 8 bits, and the result
+    rounds to the nearest multiple of 2^-bits: within 0.52 ulp.
+    """
+    return to_int(mpf_shift(mpf_cos_pi(from_rational(p, q, bits + 8), bits + 8), bits), round_nearest)
+
+
+def cospi_fixed(p, q, F):
+    """cos(pi p/q) as an int scaled by 2^F, within 1 ulp; q > 0.
+
+    The Kloosterman values (e^(2 pi i r/m) = cospi_fixed(4r, 2m)
+    + i cospi_fixed(4r - m, 2m)) and the bands' cos beta_nu all read it, as
+    Johansson (arXiv:1205.5991, sec. 2-3) sums Rademacher's exponential sums
+    from one table.  p/q is reduced to [0, 1] in lowest terms, so
+    cos(pi (2q - p)/q) gives the same int, and each reduced root is
+    evaluated once per bucket, F rounded up to a multiple of 64, then
+    rounded to the nearest multiple of 2^-F: within 0.5 + 0.52/2 ulp.
+    """
+    p %= 2 * q
+    p = min(p, 2 * q - p)
+    g = math.gcd(p, q)
+    bits = -(-F // 64) * 64
+    c, s = _cospi_bucket(p // g, q // g, bits), bits - F
+    return (c + (1 << s >> 1)) >> s
 
 
 def bessel_factor_degree(c, prec):

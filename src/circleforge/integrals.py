@@ -25,6 +25,7 @@ from .hpnum import (
     BesselFactor,
     bessel_factor_degree,
     bessel_i_series,
+    cospi_fixed,
     decay_cut,
     gauss_legendre_fixed,
     quad_panels,
@@ -49,8 +50,7 @@ def _sqrt_fraction(b, prec):
 
 def _cos_floor(k, nus, prec):
     """min |cos beta_nu| over nus: |cosh(i beta_nu - alpha x)| >= |cos beta_nu| on real alpha x."""
-    with workprec(prec):
-        return min(abs(mpmath.cos(mpmath.pi * (mpf(6 * nu - 1) / (6 * k)))) for nu in nus)
+    return mpf((min(abs(cospi_fixed(6 * nu - 1, 6 * k, prec)) for nu in nus), -prec), prec=prec)
 
 
 def _exp_fixed(t, F):  # e^(t 2^-2F) at F bits
@@ -90,6 +90,8 @@ def _cosh_band(k, nus, alpha, weight, lo, X, F, tol, prec):
     lo > 0 is the two tails [-X, -lo] and [lo, X], tol/2 each, summed.  The real
     alpha and the panel sums are ints scaled by 2^F, on the nodes of _panel_nodes;
     weight(ax) gives g at |x| = ax 2^-F as (Re g,) or, for complex g, (Re g, Im g).
+    cos beta_nu is hpnum.cospi_fixed's at F bits, the cosine cache the Kloosterman
+    values read too, and cos^2 beta_nu its square truncated to F bits.
 
     Re 1/cosh(i beta - alpha x) = cos beta ch / (cos^2 beta + sh^2), ch, sh =
     cosh, sinh(alpha x), is even in x and Im 1/cosh odd, so against the even g
@@ -103,10 +105,8 @@ def _cosh_band(k, nus, alpha, weight, lo, X, F, tol, prec):
     Each value v comes from quad_panels at prec + 16 bits, so it carries tol
     only if |v| 2^-(prec+16) <= tol; otherwise ArithmeticError.
     """
-    with workprec(F + 16):
-        cos_mp = [mpmath.cos(mpmath.pi * mpf(6 * nu - 1) / (6 * k)) for nu in nus]
-        cos_b = [to_fixed(c._mpf_, F) for c in cos_mp]
-        cos2_b = [to_fixed((c * c)._mpf_, F) for c in cos_mp]
+    cos_b = [cospi_fixed(6 * nu - 1, 6 * k, F) for nu in nus]
+    cos2_b = [c * c >> F for c in cos_b]
     one2 = 1 << (2 * F)
     memo = {}
 

@@ -13,11 +13,11 @@ stored in one way only: as the number of summands at each residue r mod
 24k, r standing for e^(i*pi*r/(12k)).  Equality of the two paths is an
 exact statement about these counts (no floating point): equal counts are
 equal sums, and otherwise the difference is reduced modulo a cyclotomic
-polynomial.  `SumValue.value(prec)` evaluates a sum numerically on demand.
-Every weight the formulas read is real, and `SumValue.real_value(prec)`
-evaluates it as an integer sum of counts times fixed-point cosines, each
-root's cosine computed once (Johansson, arXiv:1205.5991, sec. 2-3, sums the
-exponential sums of Rademacher's series the same way).
+polynomial.  `SumValue.value(prec)` evaluates a sum numerically on demand,
+as integer sums of counts times the fixed-point cosines of
+`hpnum.cospi_fixed`, whose cache the bands' cos beta_nu share.  Every weight
+the formulas read is real, and `SumValue.real_value(prec)` checks that
+exactly and sums only the real part.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_rational, mpf_cos_pi, mpf_shift, round_nearest, to_int
 
+from .hpnum import cospi_fixed
 from .modular import farey_neighbors, omega_residue, strengthened_inverse
 
 __all__ = [
@@ -155,41 +155,23 @@ def _is_zero_combination(modulus, coeffs):
     return True
 
 
-@lru_cache(maxsize=None)
-def _root(num, den, prec):
-    """e^(i*pi*num/den) at prec bits: the one cos/sin evaluation per root."""
-    with mpmath.workprec(prec):
-        return mpmath.expjpi(mpmath.mpf(num) / den)
-
-
-@lru_cache(maxsize=None)
-def _cos_fixed(num, den, F):
-    """cos(pi*num/den) as an int scaled by 2^F, within 1 ulp: one cospi per root.
-
-    The argument is rounded at F + 8 bits (|num/den| <= 1 moves the cosine by
-    at most pi 2^-(F+8)), cospi rounds at F + 8 bits, and the result rounds
-    to the nearest multiple of 2^-F.
-    """
-    return to_int(mpf_shift(mpf_cos_pi(from_rational(num, den, F + 8), F + 8), F), round_nearest)
-
-
 class SumValue:
     """Value of a Kloosterman-type sum: counts of roots of unity.
 
     `counts[r]` summands equal e^(2*pi*i*r/modulus); a sum at modulus k has
     modulus 24k.  Every sum is exact, so `exact` is always True.
-    `value(prec)` evaluates at prec bits with one cos/sin per distinct
-    root and precision, shared by all sums; a sum that is exactly zero
-    evaluates to exactly 0.
 
-    `real_value(prec)` is the value of a sum that equals its conjugate
-    exactly, and raises ArithmeticError otherwise.  It sums counts[r] times
-    cos(2*pi*r/modulus) as Python ints at F = prec + 8 + bits(term_count)
-    fraction bits, from `_cos_fixed` keyed on the reduced root of
-    min(r, modulus - r), so the total is within term_count 2^-F of the
-    sum before it is rounded to prec bits.  The exact zero test runs only
-    when the total is within (term_count + 1) 2^-F of 0, and then a sum
-    that is exactly zero gives exactly 0.
+    `value(prec)` sums counts[r] times cos(2*pi*r/modulus) for the real part
+    and sin(2*pi*r/modulus) = cos(pi (4r - modulus)/(2 modulus)) for the
+    imaginary part as Python ints at F = prec + 8 + bits(term_count)
+    fraction bits, from `hpnum.cospi_fixed`, so each part is within
+    term_count 2^-F of the sum before it is rounded to prec bits.  Exact
+    tests run only when a part is within (term_count + 1) 2^-F of 0: the
+    imaginary part is exactly 0 when the sum equals its conjugate, and then
+    the real part is exactly 0 when the sum is exactly zero.
+
+    `real_value(prec)` is the real part of a sum that equals its conjugate
+    exactly, and raises ArithmeticError otherwise.
     """
 
     __slots__ = ("modulus", "counts", "term_count")
@@ -200,29 +182,26 @@ class SumValue:
         self.counts = counts
         self.term_count = sum(counts.values())
 
+    def _part(self, shift, prec, exact_zero):
+        """sum counts[r] cos(pi (4r - shift)/(2 modulus)) at prec bits: Re at shift 0,
+        Im at shift = modulus; exactly 0 if near 0 and exact_zero() holds."""
+        F = prec + 8 + self.term_count.bit_length()
+        m = self.modulus
+        total = sum(c * cospi_fixed(4 * r - shift, 2 * m, F) for r, c in self.counts.items())
+        if abs(total) <= self.term_count + 1 and exact_zero():
+            return mpmath.mpf(0)
+        return mpmath.mpf((total, -F), prec=prec)
+
     def value(self, prec):
+        im = self._part(self.modulus, prec, lambda: self.equals(self.conjugate()))
+        re = self._part(0, prec, lambda: im == 0 and self.is_zero())
         with mpmath.workprec(prec):
-            total = mpmath.mpc(0)
-            if self.is_zero():
-                return total
-            for r in sorted(self.counts):
-                g = math.gcd(2 * r, self.modulus)
-                total += self.counts[r] * _root(2 * r // g, self.modulus // g, prec)
-            return total
+            return mpmath.mpc(re, im)
 
     def real_value(self, prec):
         if not self.equals(self.conjugate()):
             raise ArithmeticError(f"{self!r} is not real")
-        m = self.modulus
-        F = prec + 8 + self.term_count.bit_length()
-        total = 0
-        for r, c in self.counts.items():
-            r = min(r, m - r)  # cos(2 pi r/m) = cos(2 pi (m - r)/m)
-            g = math.gcd(2 * r, m)
-            total += c * _cos_fixed(2 * r // g, m // g, F)
-        if abs(total) <= self.term_count + 1 and self.is_zero():
-            return mpmath.mpf(0)
-        return mpmath.mpf((total, -F), prec=prec)
+        return self._part(0, prec, self.is_zero)
 
     def __neg__(self):
         n = self.modulus

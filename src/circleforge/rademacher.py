@@ -1,6 +1,6 @@
 """Assembly of the exact formulas: Rademacher's series for p(n), the
 Kloosterman/Bessel-integral series for lower 1-run overpartitions, the
-dominant-term and asymptotic approximations, and the oracle harness.
+asymptotic approximation, and the oracle harness.
 
 The k-sum for p1bar runs over gcd(4,k) in {1,2} with nu over 1..k; the
 gcd(4,k)=4 band contributes nothing in the limit and is excluded by
@@ -32,7 +32,6 @@ __all__ = [
     "p1bar_term",
     "p1bar_exact",
     "p1bar_asymptotic",
-    "p1bar_dominant",
     "verify_range",
 ]
 
@@ -185,20 +184,6 @@ def p1bar_asymptotic(n, prec=None):
             mpmath.sqrt(mpf(5)) / (4 * mpmath.sqrt(mpf(6)) * n)
             * mpmath.exp(mpmath.pi * mpmath.sqrt(mpf(5 * n) / 6))
         )
-
-
-def p1bar_dominant(n, tol=mpf("1e-12"), prec=None):
-    """The k=2 band alone, with its prefactor 5*pi/(12 sqrt(6n)).
-
-    It equals 5*pi/(48 sqrt(6n)) (script_I(5/12,2,0) + script_I(5/12,2,1)):
-    both Kloosterman values at k=2 are +-1, and in the fixed 1..k system the
-    class of 0 is represented by 2, where script_I flips sign.
-    """
-    if prec is None:
-        prec = default_precision(n)
-    with workprec(prec):
-        band = p1bar_term(2, 2, n, tol, prec=prec)
-        return +(_band_prefactors(n)[2] * band)
 
 
 def verify_range(n_lo, n_hi, kmax=None, tol=mpf("1e-12"), prec=None):

@@ -10,8 +10,11 @@ line with the envelope `cosh_path_floor` (the band turns its path instead),
 `L_contour` for the package's functions of those names, and `quad_decay`
 for Gaussian decay over the real line.  `_gauss_legendre_nodes` is also the
 reference for `hpnum.gauss_legendre_fixed`, and `bessel_factor_degree` the
-mpf loop behind the float one of `hpnum`.  Like the package, they take
-their precision explicitly and never read the global mpmath precision.
+mpf loop behind the float one of `hpnum`.  `kloosterman_value` sums a
+Kloosterman SumValue in mpc, one `mpmath.expjpi` per root, as the reference
+for the fixed-point `SumValue.value`.  Like the package, they take their
+precision explicitly and never read the global mpmath precision.
+`p1bar_dominant` is the k = 2 band alone, for the dominant-term checks.
 `Overpartition` and `all_overpartitions` list overpartitions one by one,
 and `farey_sequence` the Farey fractions, for brute-force checks.
 """
@@ -28,9 +31,11 @@ from circleforge.hpnum import (
     QuadratureResult,
     bessel_i_series,
     decay_cut,
+    default_precision,
     quad_panels,
 )
 from circleforge.integrals import _sqrt_fraction
+from circleforge.rademacher import _band_prefactors, p1bar_term
 
 
 @lru_cache(maxsize=32)
@@ -318,6 +323,39 @@ def bessel_factor_degree(c, prec):
             term *= ratio
             total += term
             m += 1
+
+
+@lru_cache(maxsize=None)
+def _expjpi(num, den, prec):
+    """e^(i pi num/den) at prec bits."""
+    with workprec(prec):
+        return mpmath.expjpi(mpf(num) / den)
+
+
+def kloosterman_value(sv, prec):
+    """A SumValue as the mpc sum of counts[r] e^(2 pi i r/modulus) at prec bits,
+    one expjpi per reduced root: the reference for SumValue.value, which sums
+    fixed-point cosines from hpnum.cospi_fixed instead."""
+    with workprec(prec):
+        total = mpc(0)
+        for r in sorted(sv.counts):
+            g = math.gcd(2 * r, sv.modulus)
+            total += sv.counts[r] * _expjpi(2 * r // g, sv.modulus // g, prec)
+        return total
+
+
+def p1bar_dominant(n, tol=mpf("1e-12"), prec=None):
+    """The k=2 band alone, with its prefactor 5*pi/(12 sqrt(6n)).
+
+    It equals 5*pi/(48 sqrt(6n)) (script_I(5/12,2,0) + script_I(5/12,2,1)):
+    both Kloosterman values at k=2 are +-1, and in the fixed 1..k system the
+    class of 0 is represented by 2, where script_I flips sign.
+    """
+    if prec is None:
+        prec = default_precision(n)
+    with workprec(prec):
+        band = p1bar_term(2, 2, n, tol, prec=prec)
+        return +(_band_prefactors(n)[2] * band)
 
 
 def farey_sequence(N):

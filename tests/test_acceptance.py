@@ -18,11 +18,11 @@ from circleforge.modular import multiplier_identity_check
 from circleforge.qseries import enumerate_p1bar, named_series
 from circleforge.rademacher import (
     p1bar_asymptotic,
-    p1bar_dominant,
     p1bar_exact,
     p_rademacher,
 )
 from circleforge.transform import check_law, law_applicable, standard_grid
+from reference import p1bar_dominant
 
 PREC = 256
 

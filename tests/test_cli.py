@@ -87,6 +87,14 @@ def test_kloosterman_zero_sum_row_reads_zero(capsys):
     assert (rows[0]["re"], rows[0]["im"], rows[0]["bound_ratio"]) == ("0.0", "0.0", 0.0)
 
 
+def test_kloosterman_real_sum_row_has_zero_imaginary_part(capsys):
+    # A_9(5) equals its conjugate exactly, so its imaginary part is 0, not the
+    # rounding noise of a sum of sines
+    code, rows = run_cli(["kloosterman", "--family", "A", "--k", "9", "--n", "5"], capsys)
+    assert code == 0
+    assert (rows[0]["re"], rows[0]["im"]) == ("0.79887681031528666525", "0.0")
+
+
 def test_kloosterman_precision_reaches_bound_ratio(capsys, monkeypatch):
     import circleforge.cli as cli
 

@@ -1,6 +1,7 @@
 """Bessel kernels against independent series/library oracles and the
 certified quadrature on known integrals; the fixed-point Gauss-Legendre
-tables against the mpf rule, and the float Bessel degree against the mpf loop."""
+tables against the mpf rule, the float Bessel degree against the mpf loop, and
+the fixed-point cos(pi p/q) against cospi at twice its bits."""
 
 import ast
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, mpf_cos_pi, to_fixed
 
 from circleforge import hpnum
 from circleforge.hpnum import (
@@ -17,6 +19,7 @@ from circleforge.hpnum import (
     bessel_factor_degree,
     bessel_i32,
     bessel_i_series,
+    cospi_fixed,
     default_precision,
     gauss_legendre_fixed,
 )
@@ -230,6 +233,38 @@ def test_gauss_legendre_fixed_raises_on_unconverged_root(monkeypatch):
                         lambda npts, x, p: (step(npts, x, p)[0] // 2,) + step(npts, x, p)[1:])
     with pytest.raises(ArithmeticError, match="did not converge"):
         hpnum._gauss_legendre_half.__wrapped__(13, 128)
+
+
+def test_cospi_fixed_within_one_ulp(monkeypatch):
+    # every p/q in [0, 1] with q <= 720, at F = 64 (its own 64-bit bucket) and
+    # F = 65 (rounded from the 128-bit bucket), against cospi at W = 2 * 65 bits;
+    # uncached, so the sweep does not fill the package's cache
+    monkeypatch.setattr(hpnum, "_cospi_bucket", hpnum._cospi_bucket.__wrapped__)
+    W = 130
+    worst = {64: 0, 65: 0}
+    for q in range(1, 721):
+        for p in range(q + 1):
+            if math.gcd(p, q) == 1:
+                want = to_fixed(mpf_cos_pi(from_rational(p, q, W + 8), W + 8), W)
+                for F in worst:
+                    err = abs((cospi_fixed(p, q, F) << (W - F)) - want)
+                    worst[F] = max(worst[F], err)
+    # the reference is within 2 ulp at W bits
+    assert all(err <= (1 << (W - F)) - 2 for F, err in worst.items()), worst
+
+
+def test_cospi_fixed_is_one_int_per_root():
+    # cos(pi x) is even and 2-periodic, and the root does not depend on the
+    # terms p/q is written in: each gives the same int, from one bucket entry
+    for q in (1, 6, 35, 720, 1441):
+        for p in range(0, 2 * q + 1, max(1, q // 40)):
+            for F in (63, 64, 65, 200):
+                c = cospi_fixed(p, q, F)
+                assert cospi_fixed(2 * q - p, q, F) == c, (p, q, F)
+                assert cospi_fixed(-p, q, F) == c == cospi_fixed(p + 2 * q, q, F), (p, q, F)
+                assert cospi_fixed(3 * p, 3 * q, F) == c, (p, q, F)
+    ends = cospi_fixed(0, 1, 64), cospi_fixed(1, 2, 64), cospi_fixed(1, 1, 64)
+    assert ends == (1 << 64, 0, -1 << 64)
 
 
 def test_package_has_one_gauss_legendre_rule_and_no_pointwise_quadrature():

@@ -20,6 +20,7 @@ from circleforge.kloosterman import (
     rewritten_classical_form,
 )
 from circleforge.modular import farey_neighbors, strengthened_inverse
+from reference import kloosterman_value
 
 
 def _brute_classical(k, n, m):
@@ -272,24 +273,54 @@ def _weights(kmax, n):
                 yield modified_K(KloostermanSpec("modified", k, n, d=d, j=2, nu=nu))
 
 
+def _complex_sums(kmax, n):
+    """Sums the formulas do not read, most of them not real: for k <= kmax the
+    j = 1 and j = 3 modified families, and classical and modified incomplete sums."""
+    for k in range(1, kmax + 1):
+        d = math.gcd(4, k)
+        for j in (1, 3):
+            yield modified_K(KloostermanSpec("modified", k, n, 1, d=d, j=j))
+        N = k + 2
+        yield incomplete_K(k, N + 1 + k // 2, N, n, 1)
+        yield modified_K(KloostermanSpec("modified_incomplete", k, n, 1, d=d, j=2, nu=1,
+                                         ell=N + 1 + k // 2, N=N))
+
+
+def check_values(sums, prec):
+    """value(prec) against the expjpi sum of tests/reference.py at prec + 64 bits:
+    each part within term_count 2^-F before its rounding to prec bits, the
+    imaginary part exactly 0 iff the sum equals its conjugate, and the value
+    exactly 0 iff the sum is exactly 0.  For a real sum, real_value(prec) is
+    value(prec)'s real part.  Returns the number of real sums."""
+    real_sums = 0
+    for sv in sums:
+        got = sv.value(prec)
+        real = sv.equals(sv.conjugate())
+        assert (got.imag == 0) == real, sv.counts
+        assert (got == 0) == sv.is_zero(), sv.counts
+        F = prec + 8 + sv.term_count.bit_length()
+        with mpmath.workprec(prec + 64):
+            want = kloosterman_value(sv, prec + 64)
+            for part, ref in ((got.real, want.real), (got.imag, want.imag)):
+                bound = sv.term_count * mpmath.mpf(2) ** -F + abs(ref) * mpmath.mpf(2) ** -prec \
+                    + mpmath.mpf(2) ** -(prec + 40)  # the reference's own rounding
+                assert abs(part - ref) <= bound, sv.counts
+        if real:
+            assert sv.real_value(prec) == got.real, sv.counts
+            real_sums += 1
+    return real_sums
+
+
 def check_real_values(kmax, ns):
-    """real_value(prec) against value(prec + 64).real: within term_count 2^-F
-    before its rounding to prec bits, and exactly 0 iff the sum is exactly 0."""
+    """check_values on every weight of the formulas for k <= kmax at each n, at
+    the precision p1bar_exact runs n at; every weight is real."""
     from circleforge.hpnum import default_precision
 
     checked = 0
     for n in ns:
-        prec = default_precision(n)
-        for sv in _weights(kmax, n):
-            got = sv.real_value(prec)
-            assert (got == 0) == sv.is_zero(), (n, sv.counts)
-            F = prec + 8 + sv.term_count.bit_length()
-            with mpmath.workprec(prec + 64):
-                want = sv.value(prec + 64).real
-                bound = sv.term_count * mpmath.mpf(2) ** -F + abs(want) * mpmath.mpf(2) ** -prec \
-                    + mpmath.mpf(2) ** -(prec + 40)  # the reference's own rounding
-                assert abs(got - want) <= bound, (n, sv.counts)
-            checked += 1
+        weights = list(_weights(kmax, n))
+        assert check_values(weights, default_precision(n)) == len(weights)
+        checked += len(weights)
     return checked
 
 
@@ -297,6 +328,28 @@ def test_real_value_within_its_bound():
     # every weight of p1bar_exact and p_rademacher for k <= 60 at three n
     assert check_real_values(60, (7, 55, 1001)) == 3 * (60 + sum(
         k for k in range(1, 61) if k % 4))
+
+
+def test_value_within_its_bound():
+    # the complex families, at the same k and n
+    from circleforge.hpnum import default_precision
+
+    for n in (7, 55, 1001):
+        sums = list(_complex_sums(60, n))
+        real_sums = check_values(sums, default_precision(n))
+        assert len(sums) == 240 and 0 < real_sums < len(sums)
+
+
+def test_real_sum_without_conjugate_pairs_has_exactly_zero_imaginary_part():
+    # 1 + e^(2 pi i/15) (1 + w + w^2), w = e^(2 pi i/3), is 1, but its counts are
+    # not closed under conjugation, so the fixed-point sines need not cancel
+    # term by term: at 64 and 128 bits they leave 1 ulp, which the exact
+    # conjugate check removes; without the 1 the sum is exactly 0
+    for prec in (64, 128):
+        got = SumValue(modulus=15, counts={0: 1, 1: 1, 6: 1, 11: 1}).value(prec)
+        assert (got.real, got.imag) == (1, 0)
+    got = SumValue(modulus=15, counts={1: 1, 6: 1, 11: 1}).value(100)
+    assert (got.real, got.imag) == (0, 0)
 
 
 def test_real_value_rejects_a_sum_that_is_not_real():

@@ -1,6 +1,7 @@
 """Every numeric routine works at the precision it is given: its result does
 not depend on the global mpmath precision it is called under, and no
-source file reads that global."""
+source file reads that global.  The package also has one cosine of a
+rational multiple of pi, `hpnum.cospi_fixed`."""
 
 import ast
 import pathlib
@@ -75,3 +76,26 @@ def test_no_source_reads_global_precision():
     paths = [*sorted(src.glob("*.py")), pathlib.Path(__file__).parent / "reference.py"]
     reads = [hit for path in paths for hit in _global_precision_reads(path)]
     assert reads == []
+
+
+def _mpmath_uses(path, names):
+    """Lines of path that import one of names from mpmath or read it as an
+    attribute of mpmath, mp or libmp."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
+            if any(alias.name in names for alias in node.names):
+                yield f"{path.name}:{node.lineno}"
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, ast.Name) and node.value.id in ("mpmath", "mp", "libmp")):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_one_cosine_of_a_root_of_unity():
+    # the Kloosterman values and the bands' cos beta_nu read cos(pi p/q) from
+    # hpnum.cospi_fixed alone; mpc roots e^(i pi x) serve only transform's law checks
+    paths = sorted(pathlib.Path(circleforge.__file__).parent.glob("*.py"))
+    cosines = [hit for path in paths if path.name != "hpnum.py"
+               for hit in _mpmath_uses(path, {"cos", "cospi", "mpf_cos_pi"})]
+    roots = [hit for path in paths if path.name != "transform.py"
+             for hit in _mpmath_uses(path, {"expjpi"})]
+    assert (cosines, roots) == ([], [])

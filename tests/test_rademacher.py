@@ -13,13 +13,12 @@ from circleforge.qseries import named_series
 from circleforge.rademacher import (
     default_kmax,
     p1bar_asymptotic,
-    p1bar_dominant,
     p1bar_exact,
     p1bar_term,
     p_rademacher,
     verify_range,
 )
-from reference import script_I
+from reference import p1bar_dominant, script_I
 
 PREC = 256
 
@@ -263,13 +262,14 @@ def test_band_panels_converge_on_workload_inputs(monkeypatch):
 
 
 def test_kloosterman_root_evaluation_pin(monkeypatch):
-    # deterministic work count: the cosine evaluations behind every
-    # SumValue.real_value of p1bar_exact(55); a later change may lower it, never raise it
+    # deterministic work count: the cosine evaluations of p1bar_exact(55), the
+    # Kloosterman weights' and the bands' cos beta_nu, which share hpnum.cospi_fixed's
+    # cache; a later change may lower it, never raise it
     import functools
 
-    import circleforge.kloosterman as kloosterman
+    import circleforge.hpnum as hpnum
 
-    fresh = functools.lru_cache(maxsize=None)(kloosterman._cos_fixed.__wrapped__)
-    monkeypatch.setattr(kloosterman, "_cos_fixed", fresh)
+    fresh = functools.lru_cache(maxsize=None)(hpnum._cospi_bucket.__wrapped__)
+    monkeypatch.setattr(hpnum, "_cospi_bucket", fresh)
     assert p1bar_exact(55).rounded == named_series("G1", 55).coefficient(55)
-    assert fresh.cache_info().misses == 53
+    assert fresh.cache_info().misses == 150
